@@ -1,10 +1,11 @@
-"""Software emulation of IEEE-754 binary16, plus loss scaling.
+"""IEEE-754 binary16 conversion, plus loss scaling.
 
 FP16 tensors are kept as uint16 bit patterns end to end; widening and
-narrowing are explicit calls, so none of the precision behaviour depends
-on hardware half support.  Narrowing rounds to nearest-even, overflows to
-signed infinity, flushes magnitudes below 2**-25 to signed zero, and
-canonicalizes every NaN to one quiet pattern.
+narrowing are explicit calls onto numpy's IEEE float16 cast.  Narrowing
+goes through float32 and rounds to nearest-even, overflows to signed
+infinity, flushes magnitudes below 2**-25 to signed zero, and
+canonicalizes every NaN to one quiet pattern; widening is exact and
+canonicalizes every NaN to one quiet float32 pattern.
 """
 
 from __future__ import annotations
@@ -37,98 +38,37 @@ MAX_FINITE = 65504.0
 CANONICAL_NAN = np.uint16(0x7E00)
 
 
-def _narrow_bits(f: np.ndarray) -> np.ndarray:
-    """Map float32 bit patterns (uint32) to binary16 bit patterns (uint16)."""
-    f = f.astype(np.uint32, copy=False)
-    h_sgn = (f >> 16) & np.uint32(0x8000)
-    f_exp = f & np.uint32(0x7F800000)
-    f_man = f & np.uint32(0x007FFFFF)
-
-    special = f_exp == 0x7F800000
-    is_nan = special & (f_man != 0)
-    # Exponent >= 16 after narrowing: rounds past the largest finite half.
-    too_big = (f_exp >= 0x47800000) & ~special
-    normal = (f_exp >= 0x38800000) & (f_exp < 0x47800000)
-    # Down to 2**-25 the value lands in (or rounds into) the subnormal range.
-    subnormal = (f_exp >= 0x33000000) & (f_exp < 0x38800000)
-
-    # Normal path: exponent rebias, then round-to-nearest-even on the
-    # mantissa.  Skipping the increment exactly when the trailing bits are
-    # 0b01_0000_0000_0000 implements ties-to-even; a mantissa carry rolls
-    # into the exponent and can legitimately produce the infinity pattern.
-    h_exp = (f_exp - np.uint32(0x38000000)) >> 13
-    man = np.where((f_man & 0x3FFF) != 0x1000, f_man + 0x1000, f_man)
-    h_normal = h_sgn + h_exp + (man >> 13)
-
-    # Subnormal path: shift the significand (with its hidden bit) into
-    # position, folding everything shifted out into a sticky bit so the
-    # tie test still sees it, then round the same way.
-    f_bexp = f_exp >> 23
-    shift = np.clip(np.int64(113) - f_bexp.astype(np.int64), 0, 31).astype(np.uint32)
-    sig = np.uint32(0x00800000) | f_man
-    lost = sig & ((np.uint32(1) << shift) - np.uint32(1))
-    sig = (sig >> shift) | (lost != 0).astype(np.uint32)
-    sig = np.where((sig & 0x3FFF) != 0x1000, sig + 0x1000, sig)
-    h_subnormal = h_sgn + (sig >> 13)
-
-    out = np.select(
-        [is_nan, special, too_big, normal, subnormal],
-        [
-            np.uint32(CANONICAL_NAN),
-            h_sgn + np.uint32(0x7C00),
-            h_sgn + np.uint32(0x7C00),
-            h_normal,
-            h_subnormal,
-        ],
-        default=h_sgn,  # |x| < 2**-25 flushes to signed zero
-    )
-    return out.astype(np.uint16)
-
-
-def _widen_bits(h: np.ndarray) -> np.ndarray:
-    """Map binary16 bit patterns (uint16) to float32 values, exactly."""
-    h = h.astype(np.uint32, copy=False)
-    negative = (h & 0x8000) != 0
-    exp = (h >> 10) & np.uint32(0x1F)
-    man = h & np.uint32(0x3FF)
-
-    # Both branches are ldexp(integer, e) with the integer < 2**11, so the
-    # float32 result is exact: normals are (1024+man) * 2**(exp-25),
-    # subnormals man * 2**-24.
-    m = np.where(exp > 0, man + np.uint32(1024), man)
-    e = np.where(exp > 0, exp.astype(np.int32), np.int32(1)) - np.int32(25)
-    mag = np.ldexp(m.astype(np.float32), e)
-    val = np.where(negative, -mag, mag).astype(np.float32)
-
-    inf = np.where(negative, np.float32(-np.inf), np.float32(np.inf))
-    val = np.where(exp == 31, np.where(man == 0, inf, np.float32(np.nan)), val)
-    return val.astype(np.float32, copy=False)
-
-
 def f32_to_f16(values) -> np.ndarray | np.uint16:
     """Narrow float32 values to binary16 bit patterns.
 
     Args:
-        values: scalar or array; anything not already float32 is cast first.
+        values: scalar or array; anything not already float32 is cast to
+            float32 first (so a float64 input is rounded twice).
 
     Returns:
         uint16 bit patterns with the input's shape (a scalar input gives a
         numpy uint16 scalar).
     """
-    a = np.asarray(values, dtype=np.float32)
-    flat = np.ascontiguousarray(a).reshape(-1).view(np.uint32)
-    out = _narrow_bits(flat).reshape(a.shape)
+    # Overflow to signed infinity is the specified result, not an error.
+    with np.errstate(over="ignore"):
+        a = np.asarray(values, dtype=np.float32)
+        out = a.astype(np.float16).view(np.uint16)
+    np.copyto(out, CANONICAL_NAN, where=np.isnan(a))
     return out[()] if a.ndim == 0 else out
 
 
 def f16_to_f32(bits) -> np.ndarray | np.float32:
-    """Widen binary16 bit patterns (uint16) to float32 values, exactly."""
+    """Widen binary16 bit patterns (uint16) to float32 values, exactly;
+    patterns of another integer dtype must lie in [0, 0xFFFF]."""
     a = np.asarray(bits)
     if a.dtype != np.uint16:
         if not np.issubdtype(a.dtype, np.integer):
             raise TypeError(f"expected uint16 bit patterns, got {a.dtype}")
+        if a.size and (a.min() < 0 or a.max() > 0xFFFF):
+            raise ValueError("not 16-bit patterns: values outside [0, 0xFFFF]")
         a = a.astype(np.uint16)
-    out = _widen_bits(a.reshape(-1)).reshape(a.shape)
+    out = a.view(np.float16).astype(np.float32)
+    np.copyto(out, np.float32(np.nan), where=np.isnan(out))
     return out[()] if a.ndim == 0 else out
 
 

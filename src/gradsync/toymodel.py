@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .halfprec import f16_to_f32, f32_to_f16
+from .halfprec import f16_to_f32, quantize_tensor
 from .lars import ParamGroup, make_param_group
 
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
@@ -26,9 +26,7 @@ LOSSES = ("softmax_ce", "mse")
 
 
 def _quantize(arr: np.ndarray, mixed: bool) -> np.ndarray:
-    if not mixed:
-        return arr
-    return f16_to_f32(f32_to_f16(arr))
+    return quantize_tensor(arr) if mixed else arr
 
 
 class DenseNet:

@@ -1,9 +1,11 @@
 """Binary16 conversion and loss-scaling tests.
 
-The narrowing path is checked three ways: frozen boundary patterns, an
-exact rational-arithmetic reference converter (independent of the bit
-manipulation under test), and numpy's own half converter for bulk
-agreement.
+The conversions are numpy's float16 cast with NaN canonicalized, so they
+are checked against references that do not use that cast: frozen
+boundary patterns, an exact rational-arithmetic narrowing oracle sampled
+at every float32 exponent field, and a field-arithmetic widening oracle
+built from ``math.ldexp`` over all 65536 patterns.  The bulk comparisons
+with numpy's own cast stay as well.
 """
 
 import math
@@ -108,6 +110,73 @@ def test_widen_matches_numpy_exhaustive():
     nan = np.isnan(ref)
     assert np.isnan(mine[nan]).all()
     assert np.array_equal(mine[~nan].view(np.uint32), ref[~nan].view(np.uint32))
+
+
+def ref_widen(bits: int) -> float:
+    """Value of one binary16 pattern from its fields; NaN for NaN patterns."""
+    sign = -1.0 if bits & 0x8000 else 1.0
+    exp = (bits >> 10) & 0x1F
+    man = bits & 0x3FF
+    if exp == 31:
+        return sign * math.inf if man == 0 else math.nan
+    if exp == 0:
+        return sign * math.ldexp(man, -24)
+    return sign * math.ldexp(1024 + man, exp - 25)
+
+
+def test_widen_matches_field_oracle_exhaustive():
+    allbits = np.arange(65536, dtype=np.uint16)
+    ref = np.array([ref_widen(b) for b in range(65536)], dtype=np.float32)
+    # the oracle's NaN goes through np.float32(nan); pin the expected bits
+    ref_bits = ref.view(np.uint32).copy()
+    ref_bits[np.isnan(ref)] = 0x7FC00000
+    assert np.array_equal(hp.f16_to_f32(allbits).view(np.uint32), ref_bits)
+
+
+def test_narrow_rational_oracle_every_exponent_field():
+    # Every float32 exponent field, both signs, edge and random mantissas:
+    # covers float32 subnormals, the flush band, both overflow sides,
+    # infinities and NaN payloads.
+    rng = np.random.default_rng(13)
+    mans = np.concatenate([
+        np.array([0, 1, 2, 0x1000, 0x1FFF, 0x2000, 0x3FFFFF, 0x400000,
+                  0x7FFFFE, 0x7FFFFF], dtype=np.uint32),
+        rng.integers(0, 1 << 23, size=6, dtype=np.uint32),
+    ])
+    exps = np.arange(256, dtype=np.uint32)
+    pos = (exps[:, None] << 23 | mans[None, :]).reshape(-1)
+    bits = np.concatenate([pos, pos | np.uint32(0x80000000)])
+    x = bits.view(np.float32)
+    mine = hp.f32_to_f16(x)
+    ref = np.array([ref_narrow(float(v)) for v in x], dtype=np.uint16)
+    assert np.array_equal(mine, ref)
+
+
+def test_narrow_rounds_through_float32():
+    # 1 + 2**-11 + 2**-40 rounds to the half-way point 1 + 2**-11 in
+    # float32, which then ties to even (1.0); a direct float64 -> float16
+    # rounding sees the 2**-40 and goes up to 0x3C01.
+    x = 1 + 2**-11 + 2**-40
+    assert int(np.float64(x).astype(np.float16).view(np.uint16)) == 0x3C01
+    assert int(hp.f32_to_f16(x)) == 0x3C00
+    assert int(hp.f32_to_f16(np.array([x]))[0]) == 0x3C00
+    # past the float32 range the first rounding already gives infinity
+    assert int(hp.f32_to_f16(1e300)) == 0x7C00
+    assert int(hp.f32_to_f16(np.array([-1e300]))[0]) == 0xFC00
+
+
+def test_widen_rejects_out_of_range_integers():
+    with pytest.raises(ValueError):
+        hp.f16_to_f32(np.array([70000, -1]))
+    with pytest.raises(ValueError):
+        hp.f16_to_f32(np.array([0x10000]))
+    with pytest.raises(ValueError):
+        hp.f16_to_f32(-1)
+    with pytest.raises(TypeError):
+        hp.f16_to_f32(np.array([1.0]))
+    # in-range integers of any dtype are accepted as patterns
+    assert hp.f16_to_f32(np.array([0x3C00, 0xFFFF], dtype=np.int64))[0] == 1.0
+    assert hp.f16_to_f32(0x3C00) == 1.0
 
 
 def test_roundtrip_exhaustive():
