@@ -145,11 +145,11 @@ def _cmd_halfprec(args) -> int:
         doc = describe_half(bits)
     else:
         value = float(raw)
-        pattern = f32_to_f16(np.float32(value))
-        doc = describe_half(int(pattern))
+        with np.errstate(over="ignore"):  # past float32 range: infinity
+            single = np.float32(value)
+        doc = describe_half(int(f32_to_f16(single)))
         doc["input"] = value
-        doc["roundtrip_exact"] = bool(
-            np.float32(doc["value"]) == np.float32(value))
+        doc["roundtrip_exact"] = bool(np.float32(doc["value"]) == single)
     _emit(doc)
     return EXIT_OK
 

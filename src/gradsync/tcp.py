@@ -12,6 +12,15 @@ folded result back out.  (The hierarchical wire rounds therefore differ
 from the cost model's ring-pass step accounting, which stays the
 authority for simulated time.)
 
+Every socket runs with ``TCP_NODELAY``: a round's frames are small and
+each one is waited on, so Nagle's algorithm and delayed ACKs would add
+tens of milliseconds per round.  Each worker starts one sender thread
+with its mesh.  A round that both sends and receives hands its sends to
+that thread and receives on the calling thread; a round that only sends
+sends on the calling thread, since its peer is receiving.  A round's
+sends finish before the next round starts, so frames on a socket never
+interleave.
+
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
 0 = float32 array, 1 = uint16 array, 2 = UTF-8 JSON control record.
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import socket
 import struct
 import threading
@@ -62,6 +72,12 @@ class CollectiveAbort(RuntimeError):
 # --- framing ----------------------------------------------------------------
 
 
+def _nodelay(sock: socket.socket) -> socket.socket:
+    """Send each frame at once instead of waiting on Nagle's algorithm."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
@@ -81,6 +97,8 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     if length < 1:
         raise ConnectionError("zero-length frame")
     body = recv_exact(sock, length)
+    if body[0] not in (TAG_F32, TAG_U16, TAG_JSON):
+        raise ConnectionError(f"unknown frame tag {body[0]}")
     return body[0], body[1:]
 
 
@@ -164,8 +182,41 @@ def _hier_plan(rank: int, p: int, k: int):
 # --- worker -----------------------------------------------------------------
 
 
+class _Sender:
+    """A worker's one long-lived sender thread, fed one round at a time."""
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="gradsync-sender",
+                                        daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            try:
+                for sock, arr in job:
+                    send_array(sock, arr)
+            except Exception as exc:  # handed to the waiting round
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def submit(self, outgoing: list[tuple[socket.socket, np.ndarray]]) -> None:
+        self._jobs.put(outgoing)
+
+    def wait(self) -> Exception | None:
+        """Block until the submitted round is sent; returns its error."""
+        return self._done.get()
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+
+
 def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
-                       peers: dict[int, socket.socket], die_at_step: int | None):
+                       peers: dict[int, socket.socket], sender: _Sender,
+                       die_at_step: int | None):
     p = plan_cfg["p"]
     algorithm = plan_cfg["algorithm"]
     op = plan_cfg["op"]
@@ -207,45 +258,43 @@ def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
                     payload = result
             outgoing.append((peers[peer], payload))
 
-        send_errors: list[Exception] = []
-
-        def pump():
-            try:
+        # A round's sends overlap its receives: peers that both sent first
+        # could fill each other's socket buffers and deadlock.  A round
+        # that only sends needs no overlap, since its peers are receiving.
+        try:
+            if outgoing and rcv:
+                sender.submit(outgoing)
+                try:
+                    received = [recv_array(peers[peer]) for peer, _ in rcv]
+                finally:
+                    send_error = sender.wait()
+                if send_error is not None:
+                    raise send_error
+            else:
                 for s_sock, arr in outgoing:
                     send_array(s_sock, arr)
-            except (OSError, ConnectionError) as exc:
-                send_errors.append(exc)
-
-        sender = threading.Thread(target=pump)
-        sender.start()
-        try:
-            for peer, key in rcv:
-                arr = recv_array(peers[peer])
-                if algorithm == "ring":
-                    if key[0] == "raw":
-                        contributions[key[1]] = arr
-                    else:
-                        chunks[key[1]] = arr
-                else:
-                    if key[0] == "member_raw":
-                        store[key] = arr
-                        raws[key[1]] = arr
-                    elif key[0] == "bundle":
-                        src_group = key[1]
-                        w = plan_cfg["k"]
-                        for i in range(w):
-                            raws[src_group * w + i] = arr[i * n:(i + 1) * n]
-                    else:
-                        result = arr
+                received = [recv_array(peers[peer]) for peer, _ in rcv]
         except (OSError, ConnectionError) as exc:
-            raise CollectiveAbort(f"worker {rank} lost a peer at step {step}: {exc}",
+            raise CollectiveAbort(f"worker {rank} failed at step {step}: {exc}",
                                   step=step) from exc
-        finally:
-            sender.join()
-        if send_errors:
-            raise CollectiveAbort(
-                f"worker {rank} could not send at step {step}: {send_errors[0]}",
-                step=step) from send_errors[0]
+
+        for (_, key), arr in zip(rcv, received):
+            if algorithm == "ring":
+                if key[0] == "raw":
+                    contributions[key[1]] = arr
+                else:
+                    chunks[key[1]] = arr
+            else:
+                if key[0] == "member_raw":
+                    store[key] = arr
+                    raws[key[1]] = arr
+                elif key[0] == "bundle":
+                    src_group = key[1]
+                    w = plan_cfg["k"]
+                    for i in range(w):
+                        raws[src_group * w + i] = arr[i * n:(i + 1) * n]
+                else:
+                    result = arr
 
         if algorithm == "ring" and step == p - 2:
             # reduce-scatter complete: fold this worker's chunk in
@@ -283,8 +332,11 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     listener.listen(64)
     listener.settimeout(timeout)
 
-    coord = socket.create_connection((coord_host, coord_port), timeout=timeout)
+    coord = _nodelay(socket.create_connection((coord_host, coord_port),
+                                              timeout=timeout))
     coord.settimeout(timeout)
+    peers: dict[int, socket.socket] = {}
+    sender: _Sender | None = None
     try:
         send_json(coord, {"hello": rank, "listen_port": listener.getsockname()[1]})
         go = recv_json(coord)
@@ -293,17 +345,19 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
         peer_ports = {int(r): port for r, port in go["peers"].items()}
         p = go["p"]
 
-        peers: dict[int, socket.socket] = {}
         # higher ranks dial, lower ranks accept: one socket per pair
         for other in range(rank):
-            s = socket.create_connection((HOST, peer_ports[other]), timeout=timeout)
+            s = _nodelay(socket.create_connection((HOST, peer_ports[other]),
+                                                  timeout=timeout))
             s.settimeout(timeout)
             send_json(s, {"rank": rank})
             peers[other] = s
         for _ in range(p - 1 - rank):
             s, _ = listener.accept()
-            s.settimeout(timeout)
+            _nodelay(s).settimeout(timeout)
             peers[recv_json(s)["rank"]] = s
+
+        sender = _Sender()
 
         while True:
             msg = recv_json(coord)
@@ -312,7 +366,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
             plan_cfg = msg["plan"]
             inp = recv_array(coord)
             try:
-                out = _worker_collective(rank, plan_cfg, inp, peers,
+                out = _worker_collective(rank, plan_cfg, inp, peers, sender,
                                          die_at_step)
             except CollectiveAbort as exc:
                 try:
@@ -325,7 +379,9 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     except (OSError, ConnectionError):
         return 3
     finally:
-        for s in peers.values() if "peers" in locals() else []:
+        if sender is not None:
+            sender.close()
+        for s in peers.values():
             s.close()
         coord.close()
         listener.close()
@@ -345,7 +401,9 @@ class TcpCluster:
     """Coordinator side of a persistent worker cluster.
 
     Spawns one process per worker (unless workers attach externally via
-    the CLI), then runs any number of collectives before ``close``.
+    the CLI), then runs any number of collectives before ``close``.  Once
+    a collective aborts the cluster is dead: its workers have exited or
+    lost their peers, so every later ``allreduce`` raises at once.
     """
 
     def __init__(self, p: int, *, spawn: bool = True, port: int = 0,
@@ -356,6 +414,7 @@ class TcpCluster:
         self.timeout = timeout
         self._members: list[_Member] = []
         self._procs: list[mp.Process] = []
+        self._abort: CollectiveAbort | None = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((HOST, port))
@@ -380,7 +439,7 @@ class TcpCluster:
         seen: dict[int, _Member] = {}
         while len(seen) < self.p:
             sock, _ = self._listener.accept()
-            sock.settimeout(self.timeout)
+            _nodelay(sock).settimeout(self.timeout)
             try:
                 hello = recv_json(sock)
             except (OSError, ConnectionError):
@@ -403,6 +462,9 @@ class TcpCluster:
     def allreduce(self, buffers, *, algorithm: str = "ring", k: int = 1,
                   op: str = "sum") -> tuple[list[np.ndarray], ReduceSchedule]:
         """Run one collective across the cluster; returns per-rank results."""
+        if self._abort is not None:
+            raise CollectiveAbort(f"cluster is dead after an earlier abort: "
+                                  f"{self._abort}", step=self._abort.step)
         arrs = []
         for i, b in enumerate(buffers):
             a = np.asarray(b)
@@ -448,12 +510,14 @@ class TcpCluster:
             except (OSError, ConnectionError) as exc:
                 vanished = vanished or (m.rank, exc)
         if reported_abort is not None:
-            raise CollectiveAbort(
+            self._abort = CollectiveAbort(
                 f"worker {reported_abort['rank']} aborted at step "
                 f"{reported_abort['abort']} of the wire plan", step=reported_abort["abort"])
-        if vanished is not None:
-            raise CollectiveAbort(
+        elif vanished is not None:
+            self._abort = CollectiveAbort(
                 f"worker {vanished[0]} vanished mid-collective: {vanished[1]}")
+        if self._abort is not None:
+            raise self._abort
         return results, sched  # type: ignore[return-value]
 
     def close(self) -> None:

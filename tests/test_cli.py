@@ -166,6 +166,15 @@ def test_halfprec_inspect_decimal(capsys):
     assert doc["roundtrip_exact"] is False
 
 
+def test_halfprec_inspect_past_float32_range(capsys):
+    # 1e300 overflows the float32 step to infinity; that must warn nothing
+    rc, out, err = run_cli(capsys, ["halfprec", "inspect", "1e300"])
+    assert rc == 0 and not err
+    doc = json.loads(out)
+    assert doc["bits"] == "0x7C00"
+    assert doc["category"] == "inf"
+
+
 def test_halfprec_inspect_garbage(capsys):
     rc, _, err = run_cli(capsys, ["halfprec", "inspect", "not-a-number"])
     assert rc == 2

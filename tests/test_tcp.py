@@ -1,6 +1,7 @@
 """Loopback transport tests: framing, rendezvous, and wire-vs-memory equality."""
 
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -51,6 +52,17 @@ def test_frame_rejects_wrong_kind():
         b.close()
 
 
+def test_frame_rejects_unknown_tag():
+    a, b = socket.socketpair()
+    try:
+        tcp.send_frame(a, 7, b"\x00\x00\x80\x3f")
+        with pytest.raises(ConnectionError, match="tag 7"):
+            tcp.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_empty_array_frame():
     a, b = socket.socketpair()
     try:
@@ -88,6 +100,33 @@ def test_mean_op_over_tcp():
     assert np.array_equal(wire[0], mem[0])
 
 
+def test_payload_larger_than_socket_buffers(monkeypatch):
+    # 4 MiB per rank through 64 KiB socket buffers (pinned, since loopback
+    # autotuning can buffer tens of MiB): a round that sends before it
+    # receives on one thread would deadlock with its peer
+    nodelay = tcp._nodelay
+
+    def small_buffers(sock):
+        for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, opt, 1 << 16)
+        return nodelay(sock)
+
+    monkeypatch.setattr(tcp, "_nodelay", small_buffers)
+    bufs = rand_buffers(4, 1 << 20, seed=11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # forked workers switch threads often too
+    try:
+        with TcpCluster(4, timeout=20) as cluster:
+            wire, _ = cluster.allreduce(bufs, algorithm="ring")
+            mem, _ = ring_allreduce(bufs)
+            assert all(np.array_equal(w, m) for w, m in zip(wire, mem))
+            wire, _ = cluster.allreduce(bufs, algorithm="hierarchical", k=2)
+            mem, _ = hierarchical_allreduce(bufs, Topology(4, 2))
+            assert all(np.array_equal(w, m) for w, m in zip(wire, mem))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_persistent_cluster_runs_multiple_collectives():
     with TcpCluster(4, timeout=20) as cluster:
         b1 = rand_buffers(4, 40, seed=1)
@@ -122,6 +161,27 @@ def test_worker_death_raises_abort_with_step():
         run_over_tcp(bufs, algorithm="ring", timeout=10, die_at_step={1: 1})
     assert "step" in str(exc_info.value)
     assert exc_info.value.step is not None and exc_info.value.step >= 1
+
+
+def test_aborted_cluster_stays_dead(monkeypatch):
+    bufs = rand_buffers(3, 50, seed=3)
+    cluster = TcpCluster(3, timeout=10, die_at_step={1: 1})
+    procs = list(cluster._procs)
+    try:
+        with pytest.raises(CollectiveAbort) as first:
+            cluster.allreduce(bufs)
+
+        def no_wire(*args):
+            raise AssertionError("a dead cluster sent a frame")
+
+        with monkeypatch.context() as m:
+            m.setattr(tcp, "send_frame", no_wire)
+            with pytest.raises(CollectiveAbort, match="dead") as again:
+                cluster.allreduce(bufs)
+        assert again.value.step == first.value.step
+    finally:
+        cluster.close()
+    assert len(procs) == 3 and not any(proc.is_alive() for proc in procs)
 
 
 def test_buffer_validation():
@@ -198,3 +258,52 @@ def test_rendezvous_rejects_out_of_range_rank():
     t.join(timeout=5)
     assert errors
     c.close()
+
+
+def _nodelay_on(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def test_every_socket_sets_nodelay(monkeypatch):
+    # workers hosted in threads, so their mesh sockets are visible here
+    mesh = {}
+    collective = tcp._worker_collective
+
+    def spy(rank, plan_cfg, inp, peers, *args):
+        mesh[rank] = {peer: _nodelay_on(s) for peer, s in peers.items()}
+        return collective(rank, plan_cfg, inp, peers, *args)
+
+    monkeypatch.setattr(tcp, "_worker_collective", spy)
+    port = _free_port()
+    box = {}
+    boot = threading.Thread(target=lambda: box.setdefault(
+        "cluster", TcpCluster(2, spawn=False, port=port, timeout=10)))
+    boot.start()
+    for _ in range(50):  # wait for the listener with a dial it skips
+        try:
+            socket.create_connection((tcp.HOST, port), timeout=5).close()
+            break
+        except OSError:
+            threading.Event().wait(0.02)
+    codes = []
+    workers = [threading.Thread(target=lambda r=r: codes.append(
+        tcp.run_worker(tcp.HOST, port, r, timeout=10))) for r in range(2)]
+    for w in workers:
+        w.start()
+    boot.join(timeout=10)
+    assert not boot.is_alive()
+    cluster = box["cluster"]
+    try:
+        assert all(_nodelay_on(m.sock) for m in cluster._members)
+        bufs = rand_buffers(2, 16, seed=4)
+        wire, _ = cluster.allreduce(bufs)
+        mem, _ = ring_allreduce(bufs)
+        assert all(np.array_equal(w, m) for w, m in zip(wire, mem))
+    finally:
+        cluster.close()
+    for w in workers:
+        w.join(timeout=10)
+        assert not w.is_alive()
+    assert codes == [0, 0]
+    # rank 1 dialled rank 0, which accepted: both ends of the one pair
+    assert mesh == {0: {1: True}, 1: {0: True}}
