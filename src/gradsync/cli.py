@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -149,7 +150,7 @@ def _cmd_halfprec(args) -> int:
             single = np.float32(value)
         doc = describe_half(int(f32_to_f16(single)))
         doc["input"] = value
-        doc["roundtrip_exact"] = bool(np.float32(doc["value"]) == single)
+        doc["roundtrip_exact"] = doc["value"] == value
     _emit(doc)
     return EXIT_OK
 
@@ -212,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_p = half_sub.add_parser(
         "inspect", help="decode 0xABCD bit patterns or encode decimals")
     inspect_p.add_argument("value")
+    # a leading minus and a digit make a value, not an option (-1e300)
+    inspect_p._negative_number_matcher = re.compile(r"-\.?\d")
     inspect_p.set_defaults(fn=_cmd_halfprec)
 
     return ap

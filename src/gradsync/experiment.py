@@ -27,7 +27,9 @@ from .collectives import (
     Topology,
     choose_algorithm,
     hierarchical_allreduce,
+    hierarchical_schedule,
     ring_allreduce,
+    ring_schedule,
 )
 from .fusion import FusedBatch, FusionBuffer, trace_record, unpack
 from .halfprec import LossScale, unscale_gradients
@@ -268,8 +270,8 @@ def stepcount_table() -> dict:
     """Step counts of both algorithms at the flagship worker counts."""
     rows = []
     for p, k in [(16, 4), (64, 8), (256, 16), (1024, 16)]:
-        ring = 2 * (p - 1)
-        hier = 4 * (k - 1) + 2 * (p // k - 1)
+        ring = ring_schedule(p, 0).total_steps
+        hier = hierarchical_schedule(Topology(p, k), 0).total_steps
         rows.append({"workers": p, "group_size": k, "ring_steps": ring,
                      "hierarchical_steps": hier,
                      "ratio": round(ring / hier, 3)})

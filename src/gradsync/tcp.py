@@ -3,14 +3,15 @@
 One OS process per worker.  Workers rendezvous through a coordinator,
 open a full mesh of loopback stream sockets, and run the collective as
 indexed message rounds; any socket failure aborts the run with the round
-index in the error.  Results are bitwise identical to the in-memory
-executor because both fold contributions in ascending rank order: the
-ring's reduce-scatter rounds deliver raw chunks straight to their
-owners, and the hierarchical path gathers raw vectors to the group
-masters, exchanges group bundles between masters, and broadcasts the
-folded result back out.  (The hierarchical wire rounds therefore differ
-from the cost model's ring-pass step accounting, which stays the
-authority for simulated time.)
+index in the error.  Each algorithm is a table of rounds, and one loop
+runs any table: send some blocks, receive each frame in place into its
+block, and maybe fold columns.  Results are bitwise identical to the
+in-memory executor because both fold in ascending rank order: the ring's
+reduce-scatter rounds deliver raw chunks straight to their owners, and
+the hierarchical path gathers raw rows to the group masters, trades
+group bundles between masters, and passes the result back out.  (Its
+wire rounds therefore differ from the cost model's ring-pass step
+accounting, which stays the authority for simulated time.)
 
 Every socket runs with ``TCP_NODELAY``: a round's frames are small and
 each one is waited on, so Nagle's algorithm and delayed ACKs would add
@@ -24,6 +25,7 @@ interleave.
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
 0 = float32 array, 1 = uint16 array, 2 = UTF-8 JSON control record.
+A float32 frame received in place must be exactly the expected size.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ import queue
 import socket
 import struct
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import accumulate
 
 import multiprocessing as mp
 
@@ -58,6 +62,7 @@ TAG_U16 = 1
 TAG_JSON = 2
 
 _LEN = struct.Struct("<I")
+_HEAD = struct.Struct("<IB")  # length and tag
 HOST = "127.0.0.1"
 
 
@@ -131,52 +136,63 @@ def recv_array(sock: socket.socket) -> np.ndarray:
     raise ConnectionError(f"expected array frame, got tag {tag}")
 
 
+def recv_array_into(sock: socket.socket, out: np.ndarray) -> None:
+    """Read one float32 frame of exactly ``out.nbytes`` into contiguous ``out``."""
+    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
+    if tag != TAG_F32 or length != 1 + out.nbytes:
+        raise ConnectionError(f"expected a float32 frame of {out.nbytes} bytes, "
+                              f"got tag {tag} with length {length}")
+    view, got = memoryview(out).cast("B"), 0
+    while got < len(view):
+        part = sock.recv_into(view[got:])
+        if not part:
+            raise ConnectionError("peer closed the connection")
+        got += part
+
+
 # --- message plans ----------------------------------------------------------
-# A plan is a list of rounds; each round holds (peer, chunk_key) send and
-# receive directives for one worker.  Building it deterministically on
-# every worker from the same plan config keeps the processes in lockstep.
+# A plan is one worker's list of rounds ``(sends, recvs, fold)``.  Sends
+# and receives are ``(peer, block)``; a block ``(row, (lo, hi))`` is one
+# frame: elements lo:hi of the worker's (p, n) raw input matrix counted
+# from the start of ``row`` (a group's rows are one block), or of the
+# reduced vector ``out`` when ``row`` is None.  ``fold`` is the column span
+# folded into ``out`` once the round's receives are in.  Every worker
+# builds its plan from the same plan config, which keeps them in lockstep.
 
 
-def _ring_plan(rank: int, p: int):
-    sends, recvs = [], []
-    for s in range(1, p):
-        sends.append([((rank + s) % p, ("raw", rank, (rank + s) % p))])
-        recvs.append([((rank - s) % p, ("raw", (rank - s) % p, rank))])
-    for s in range(1, p):
-        sends.append([((rank + 1) % p, ("chunk", (rank - s + 1) % p))])
-        recvs.append([((rank - 1) % p, ("chunk", (rank - s) % p))])
-    return sends, recvs
+def _ring_plan(rank: int, p: int, n: int):
+    edges = [0, *accumulate(chunk_sizes(n, p).tolist())]
+    chunk = list(zip(edges, edges[1:]))
+    plan = []
+    for s in range(1, p):  # each raw chunk goes straight to its owner
+        to, frm = (rank + s) % p, (rank - s) % p
+        plan.append(([(to, (rank, chunk[to]))], [(frm, (frm, chunk[rank]))],
+                     chunk[rank] if s == p - 1 else None))
+    for s in range(1, p):  # the folded chunks circulate
+        plan.append(([((rank + 1) % p, (None, chunk[(rank - s + 1) % p]))],
+                     [((rank - 1) % p, (None, chunk[(rank - s) % p]))], None))
+    return plan
 
 
-def _hier_plan(rank: int, p: int, k: int):
+def _hier_plan(rank: int, p: int, k: int, n: int):
     G = p // k
     g, off = divmod(rank, k)
-    base = g * k
-    sends, recvs = [], []
-    for s in range(1, k):
-        snd, rcv = [], []
-        if 1 <= off <= k - s:
-            snd.append((base + off - 1, ("member_raw", base + off + s - 1)))
-        if off <= k - s - 1:
-            rcv.append((base + off + 1, ("member_raw", base + off + s)))
-        sends.append(snd)
-        recvs.append(rcv)
-    for s in range(1, G):
-        if off == 0:
-            sends.append([(((g + s) % G) * k, ("bundle", g))])
-            recvs.append([(((g - s) % G) * k, ("bundle", (g - s) % G))])
-        else:
-            sends.append([])
-            recvs.append([])
-    for s in range(1, k):
-        snd, rcv = [], []
-        if off == s - 1:
-            snd.append((base + s, ("result",)))
-        if off == s:
-            rcv.append((base + s - 1, ("result",)))
-        sends.append(snd)
-        recvs.append(rcv)
-    return sends, recvs
+    whole, bundle = (0, n), (0, k * n)
+    fold = whole if off == 0 else None  # the group master folds everything
+    plan = []
+    for s in range(1, k):  # raw rows ripple down the group to its master
+        plan.append(([(rank - 1, (rank + s - 1, whole))] if 1 <= off <= k - s else [],
+                     [(rank + 1, (rank + s, whole))] if off < k - s else [],
+                     fold if G == 1 and s == k - 1 else None))
+    for s in range(1, G):  # masters trade their groups' raw rows
+        to, frm = ((g + s) % G) * k, ((g - s) % G) * k
+        plan.append(([(to, (g * k, bundle))] if off == 0 else [],
+                     [(frm, (frm, bundle))] if off == 0 else [],
+                     fold if s == G - 1 else None))
+    for s in range(1, k):  # the result ripples back up the group
+        plan.append(([(rank + 1, (None, whole))] if off == s - 1 else [],
+                     [(rank - 1, (None, whole))] if off == s else [], None))
+    return plan
 
 
 # --- worker -----------------------------------------------------------------
@@ -217,107 +233,50 @@ class _Sender:
 def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
                        peers: dict[int, socket.socket], sender: _Sender,
                        die_at_step: int | None):
-    p = plan_cfg["p"]
-    algorithm = plan_cfg["algorithm"]
-    op = plan_cfg["op"]
-    n = inp.size
-
-    if algorithm == "ring":
-        sends, recvs = _ring_plan(rank, p)
-        spans = np.concatenate([[0], np.cumsum(chunk_sizes(n, p))])
-        store = {("raw", rank, c): inp[spans[c]:spans[c + 1]] for c in range(p)}
-        contributions = {rank: inp[spans[rank]:spans[rank + 1]]}
-        chunks: dict[int, np.ndarray] = {}
+    """Run this worker's plan (p >= 2: one worker never opens a socket)."""
+    p, n = plan_cfg["p"], inp.size
+    if plan_cfg["algorithm"] == "ring":
+        plan = _ring_plan(rank, p, n)
     else:
-        k = plan_cfg["k"]
-        sends, recvs = _hier_plan(rank, p, k)
-        store = {("member_raw", rank): inp}
-        raws = {rank: inp}
-        result: np.ndarray | None = None
+        plan = _hier_plan(rank, p, plan_cfg["k"], n)
+    raw = np.empty((p, n), dtype=np.float32)
+    raw[rank] = inp
+    flat, out = raw.reshape(-1), np.empty(n, dtype=np.float32)
 
-    for step, (snd, rcv) in enumerate(zip(sends, recvs)):
-        if die_at_step is not None and step == die_at_step:
+    def view(block):
+        row, (lo, hi) = block
+        return out[lo:hi] if row is None else flat[row * n + lo:row * n + hi]
+
+    for step, (sends, recvs, fold) in enumerate(plan):
+        if step == die_at_step:
             os._exit(17)
-
-        outgoing = []
-        for peer, key in snd:
-            if algorithm == "ring":
-                if key[0] == "raw":
-                    payload = store[key]
-                else:
-                    payload = chunks[key[1]] if key[1] != rank else folded
-            else:
-                k = plan_cfg["k"]
-                if key[0] == "member_raw":
-                    payload = store[key]
-                elif key[0] == "bundle":
-                    # own group's raws only; foreign raws land in the
-                    # same dict as the exchange proceeds
-                    payload = np.concatenate([raws[key[1] * k + i] for i in range(k)])
-                else:
-                    payload = result
-            outgoing.append((peers[peer], payload))
-
+        outgoing = [(peers[peer], view(block)) for peer, block in sends]
+        incoming = [(peers[peer], view(block)) for peer, block in recvs]
         # A round's sends overlap its receives: peers that both sent first
         # could fill each other's socket buffers and deadlock.  A round
         # that only sends needs no overlap, since its peers are receiving.
         try:
-            if outgoing and rcv:
+            if outgoing and incoming:
                 sender.submit(outgoing)
                 try:
-                    received = [recv_array(peers[peer]) for peer, _ in rcv]
+                    for sock, buf in incoming:
+                        recv_array_into(sock, buf)
                 finally:
                     send_error = sender.wait()
                 if send_error is not None:
                     raise send_error
             else:
-                for s_sock, arr in outgoing:
-                    send_array(s_sock, arr)
-                received = [recv_array(peers[peer]) for peer, _ in rcv]
+                for sock, arr in outgoing:
+                    send_array(sock, arr)
+                for sock, buf in incoming:
+                    recv_array_into(sock, buf)
         except (OSError, ConnectionError) as exc:
             raise CollectiveAbort(f"worker {rank} failed at step {step}: {exc}",
                                   step=step) from exc
-
-        for (_, key), arr in zip(rcv, received):
-            if algorithm == "ring":
-                if key[0] == "raw":
-                    contributions[key[1]] = arr
-                else:
-                    chunks[key[1]] = arr
-            else:
-                if key[0] == "member_raw":
-                    store[key] = arr
-                    raws[key[1]] = arr
-                elif key[0] == "bundle":
-                    src_group = key[1]
-                    w = plan_cfg["k"]
-                    for i in range(w):
-                        raws[src_group * w + i] = arr[i * n:(i + 1) * n]
-                else:
-                    result = arr
-
-        if algorithm == "ring" and step == p - 2:
-            # reduce-scatter complete: fold this worker's chunk in
-            # ascending rank order (the fixed reduction order)
-            folded = fold_ascending([contributions[r] for r in range(p)], op)
-            chunks[rank] = folded
-        if algorithm == "hierarchical":
-            k = plan_cfg["k"]
-            G = p // k
-            if rank % k == 0 and step == (k - 1) + (G - 1) - 1 and result is None:
-                result = fold_ascending([raws[r] for r in range(p)], op)
-
-    if algorithm == "ring":
-        if p == 1:
-            return inp.copy()
-        spans = np.concatenate([[0], np.cumsum(chunk_sizes(n, p))])
-        out = np.empty(n, dtype=np.float32)
-        for c in range(p):
-            out[spans[c]:spans[c + 1]] = chunks[c]
-        return out
-    if result is None:  # single-member groups fold locally
-        result = fold_ascending([raws[r] for r in range(p)], op)
-    return result
+        if fold is not None:
+            lo, hi = fold
+            out[lo:hi] = fold_ascending(list(raw[:, lo:hi]), plan_cfg["op"])
+    return out
 
 
 def run_worker(coord_host: str, coord_port: int, rank: int,
@@ -326,10 +285,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
 
     Returns a process exit code (0 ok, 3 abort).
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((HOST, 0))
-    listener.listen(64)
+    listener = socket.create_server((HOST, 0), backlog=64)
     listener.settimeout(timeout)
 
     coord = _nodelay(socket.create_connection((coord_host, coord_port),
@@ -415,10 +371,7 @@ class TcpCluster:
         self._members: list[_Member] = []
         self._procs: list[mp.Process] = []
         self._abort: CollectiveAbort | None = None
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((HOST, port))
-        self._listener.listen(p)
+        self._listener = socket.create_server((HOST, port), backlog=p)
         self._listener.settimeout(timeout)
         self.port = self._listener.getsockname()[1]
         if spawn and p > 1:
@@ -433,27 +386,34 @@ class TcpCluster:
                 proc.start()
                 self._procs.append(proc)
         if p > 1:
-            self._rendezvous()
+            try:
+                self._rendezvous()
+            except BaseException:
+                self.close()
+                raise
 
     def _rendezvous(self) -> None:
         seen: dict[int, _Member] = {}
-        while len(seen) < self.p:
-            sock, _ = self._listener.accept()
-            _nodelay(sock).settimeout(self.timeout)
-            try:
-                hello = recv_json(sock)
-            except (OSError, ConnectionError):
-                # a probe or dropped dial; keep waiting for real claims
-                sock.close()
-                continue
-            rank = hello.get("hello")
-            port = hello.get("listen_port")
-            if not isinstance(rank, int) or not 0 <= rank < self.p or rank in seen:
-                send_json(sock, {"error": f"bad or duplicate rank claim: {rank!r}"})
-                for m in seen.values():
-                    send_json(m.sock, {"error": "rendezvous failed"})
-                raise CollectiveAbort(f"rendezvous rejected rank claim {rank!r}")
-            seen[rank] = _Member(rank=rank, sock=sock, listen_port=port)
+        with ExitStack() as accepted:  # closes every accepted socket on a raise
+            while len(seen) < self.p:
+                sock, _ = self._listener.accept()
+                accepted.enter_context(sock)
+                _nodelay(sock).settimeout(self.timeout)
+                try:
+                    hello = recv_json(sock)
+                except (OSError, ConnectionError):
+                    # a probe or dropped dial; keep waiting for real claims
+                    sock.close()
+                    continue
+                rank = hello.get("hello")
+                port = hello.get("listen_port")
+                if not isinstance(rank, int) or not 0 <= rank < self.p or rank in seen:
+                    send_json(sock, {"error": f"bad or duplicate rank claim: {rank!r}"})
+                    for m in seen.values():
+                        send_json(m.sock, {"error": "rendezvous failed"})
+                    raise CollectiveAbort(f"rendezvous rejected rank claim {rank!r}")
+                seen[rank] = _Member(rank=rank, sock=sock, listen_port=port)
+            accepted.pop_all()
         self._members = [seen[r] for r in range(self.p)]
         ports = {m.rank: m.listen_port for m in self._members}
         for m in self._members:
@@ -497,7 +457,7 @@ class TcpCluster:
         # Drain every member before deciding the outcome: the crashed
         # worker itself reports nothing, so the step index comes from
         # a surviving peer's abort message.
-        results: list[np.ndarray | None] = [None] * self.p
+        results = np.empty((self.p, n), dtype=np.float32)
         reported_abort: dict | None = None
         vanished: tuple[int, Exception] | None = None
         for m in self._members:
@@ -506,7 +466,7 @@ class TcpCluster:
                 if "abort" in status:
                     reported_abort = reported_abort or status
                     continue
-                results[m.rank] = recv_array(m.sock)
+                recv_array_into(m.sock, results[m.rank])
             except (OSError, ConnectionError) as exc:
                 vanished = vanished or (m.rank, exc)
         if reported_abort is not None:
@@ -518,9 +478,10 @@ class TcpCluster:
                 f"worker {vanished[0]} vanished mid-collective: {vanished[1]}")
         if self._abort is not None:
             raise self._abort
-        return results, sched  # type: ignore[return-value]
+        return list(results), sched
 
     def close(self) -> None:
+        self._listener.close()
         for m in self._members:
             try:
                 send_json(m.sock, {"bye": True})
@@ -533,7 +494,6 @@ class TcpCluster:
             if proc.is_alive():
                 proc.terminate()
         self._procs = []
-        self._listener.close()
 
     def __enter__(self):
         return self

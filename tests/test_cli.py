@@ -175,6 +175,24 @@ def test_halfprec_inspect_past_float32_range(capsys):
     assert doc["category"] == "inf"
 
 
+def test_halfprec_inspect_overflow_is_not_exact(capsys):
+    # the binary16 value is compared with the input, not its float32 cast
+    rc, out, _ = run_cli(capsys, ["halfprec", "inspect", "1e300"])
+    assert rc == 0
+    assert json.loads(out)["roundtrip_exact"] is False
+
+
+def test_halfprec_inspect_negative_exponent_decimal(capsys):
+    rc, out, _ = run_cli(capsys, ["halfprec", "inspect", "-1e300"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["bits"] == "0xFC00" and doc["roundtrip_exact"] is False
+    with pytest.raises(SystemExit) as exc_info:
+        main(["halfprec", "inspect", "-h"])
+    assert exc_info.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
 def test_halfprec_inspect_garbage(capsys):
     rc, _, err = run_cli(capsys, ["halfprec", "inspect", "not-a-number"])
     assert rc == 2

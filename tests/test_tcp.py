@@ -3,6 +3,7 @@
 import socket
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from gradsync import tcp
 from gradsync.collectives import (
     Topology,
     hierarchical_allreduce,
+    hierarchical_schedule,
     ring_allreduce,
+    ring_schedule,
 )
 from gradsync.tcp import CollectiveAbort, TcpCluster, run_over_tcp
 
@@ -72,6 +75,94 @@ def test_empty_array_frame():
     finally:
         a.close()
         b.close()
+
+
+def test_recv_array_into_lands_in_place():
+    a, b = socket.socketpair()
+    try:
+        out = np.zeros(6, dtype=np.float32)
+        vec = np.arange(3, dtype=np.float32) - 0.5
+        tcp.send_array(a, vec)
+        tcp.recv_array_into(b, out[2:5])
+        assert np.array_equal(out, [0, 0, -0.5, 0.5, 1.5, 0])
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("tag,payload", [
+    (tcp.TAG_F32, np.ones(3, dtype=np.float32).tobytes()),  # 12 bytes, not 8
+    (tcp.TAG_JSON, b'{"a": 1}'),                             # 8 bytes, wrong tag
+], ids=["wrong-length", "json-tag"])
+def test_recv_array_into_rejects_wrong_frames(tag, payload):
+    a, b = socket.socketpair()
+    try:
+        out = np.zeros(2, dtype=np.float32)
+        tcp.send_frame(a, tag, payload)
+        with pytest.raises(ConnectionError, match="float32 frame of 8 bytes"):
+            tcp.recv_array_into(b, out)
+        assert not out.any()
+    finally:
+        a.close()
+        b.close()
+
+
+def _plan_traffic(plans, i):
+    """Round i's sends and receives as sorted (sender, receiver, bytes)."""
+    def nbytes(block):
+        _, (lo, hi) = block
+        return 4 * (hi - lo)
+    sent = sorted((rank, peer, nbytes(block))
+                  for rank, plan in enumerate(plans) for peer, block in plan[i][0])
+    received = sorted((peer, rank, nbytes(block))
+                      for rank, plan in enumerate(plans) for peer, block in plan[i][1])
+    return sent, received
+
+
+def test_wire_plans_match_sends_to_receives_and_schedules():
+    for p in range(1, 17):
+        for n in (0, 5, 37):
+            plans = [tcp._ring_plan(r, p, n) for r in range(p)]
+            sched = ring_schedule(p, n)
+            assert all(len(plan) == sched.total_steps for plan in plans)
+            for i, rnd in enumerate(sched.rounds):
+                sent, received = _plan_traffic(plans, i)
+                assert sent == received == sorted(map(tuple, rnd.transfers.tolist()))
+            for k in (k for k in range(1, p + 1) if p % k == 0):
+                plans = [tcp._hier_plan(r, p, k, n) for r in range(p)]
+                assert len({len(plan) for plan in plans}) == 1
+                for i in range(len(plans[0])):
+                    sent, received = _plan_traffic(plans, i)
+                    assert sent == received, (p, k, n, i)
+
+
+@pytest.mark.parametrize("p,k,ratio", [(4, 2, 1), (8, 2, Fraction(16, 9)),
+                                       (8, 4, Fraction(13, 10))])
+def test_hierarchical_plan_bytes_against_the_model(p, k, ratio):
+    # the plan moves whole raw rows where the model moves chunks of
+    # partial sums; bench/sweep.py counts the same ratios on the sockets
+    n = 64
+    plans = [tcp._hier_plan(r, p, k, n) for r in range(p)]
+    wire = sum(nbytes for i in range(len(plans[0]))
+               for _, _, nbytes in _plan_traffic(plans, i)[0])
+    modeled = hierarchical_schedule(Topology(p, k), n).bytes_on_wire
+    assert Fraction(wire, modeled) == ratio
+
+
+@pytest.mark.parametrize("algorithm,p,k,n", [
+    ("hierarchical", 4, 4, 33),  # one group: no master rounds
+    ("hierarchical", 4, 1, 33),  # one-member groups: only master rounds
+    ("ring", 3, 1, 10),          # uneven chunks 4, 3, 3
+])
+def test_edge_plans_over_tcp_match_in_memory(algorithm, p, k, n):
+    bufs = rand_buffers(p, n, seed=p + k + n)
+    wire, _ = run_over_tcp(bufs, Topology(p, k), algorithm=algorithm, timeout=20)
+    if algorithm == "ring":
+        mem, _ = ring_allreduce(bufs)
+    else:
+        mem, _ = hierarchical_allreduce(bufs, Topology(p, k))
+    for r in range(p):
+        assert np.array_equal(wire[r], mem[r]), f"rank {r} diverged"
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -258,6 +349,26 @@ def test_rendezvous_rejects_out_of_range_rank():
     t.join(timeout=5)
     assert errors
     c.close()
+
+
+def test_rejected_rendezvous_closes_every_socket():
+    port = _free_port()
+    errors = []
+    t = threading.Thread(target=_boot_unspawned, args=(port, errors))
+    t.start()
+    c1 = _connect_retry(port, 0)
+    c2 = _claim(port, 0)
+    try:
+        assert "error" in tcp.recv_json(c2) and "error" in tcp.recv_json(c1)
+        t.join(timeout=5)
+        assert errors
+        # the coordinator's ends of both claims and its listener are closed
+        assert c1.recv(1) == b"" and c2.recv(1) == b""
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((tcp.HOST, port), timeout=5).close()
+    finally:
+        c1.close()
+        c2.close()
 
 
 def _nodelay_on(sock):
