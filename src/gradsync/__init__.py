@@ -2,10 +2,8 @@
 
 from .collectives import (
     Topology,
-    allreduce_f16,
     choose_algorithm,
     hierarchical_allreduce,
-    hybrid_allreduce,
     ring_allreduce,
 )
 from .experiment import ExperimentConfig, preset_config, run_experiment
@@ -46,14 +44,12 @@ __all__ = [
     "Schedule",
     "TcpCluster",
     "Topology",
-    "allreduce_f16",
     "apply_loss_scale",
     "choose_algorithm",
     "f16_to_f32",
     "f32_to_f16",
     "find_crossover",
     "hierarchical_allreduce",
-    "hybrid_allreduce",
     "lars_step",
     "load_checkpoint",
     "make_param_group",

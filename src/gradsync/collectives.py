@@ -9,7 +9,7 @@ Two schedule families with exact step accounting:
   ``4(k-1) + 2(p/k-1)`` rounds.
 
 The hybrid selector picks hierarchical for payloads strictly under a
-byte threshold and ring otherwise.
+byte threshold and ring otherwise; callers then run the chosen one.
 
 Arithmetic convention: FP32 combines are always applied in ascending
 rank order, whatever order messages would arrive in, so results are
@@ -17,9 +17,10 @@ bitwise identical across algorithms and transports.  To make that order
 physically realizable the reduce-scatter rounds deliver each raw chunk
 straight to the rank that owns it (a pairwise exchange with the same
 round and byte accounting as the classic rotating ring) and the owner
-folds contributions 0,1,...,p-1.  FP16 payloads stay uint16 patterns on
-the wire; each combine widens to FP32, adds, and narrows, over a fixed
-pairwise tree so the rounding error stays shallow and deterministic.
+folds contributions 0,1,...,p-1.  Binary16 payloads stay uint16
+patterns on the wire (2 bytes per element in the schedule); the fold
+widens every rank to FP32, runs the same ascending fold, and narrows
+once, so the only binary16 rounding is the inputs' and the result's.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ __all__ = [
     "choose_algorithm",
     "ring_allreduce",
     "hierarchical_allreduce",
-    "hybrid_allreduce",
-    "allreduce_f16",
 ]
 
 
@@ -244,13 +243,13 @@ def choose_algorithm(nbytes: int, eta_bytes: int) -> str:
     return "hierarchical" if nbytes < eta_bytes else "ring"
 
 
-def _validated(buffers, expect_dtype) -> list[np.ndarray]:
+def _validated(buffers) -> list[np.ndarray]:
     if not buffers:
         raise ValueError("need at least one buffer")
     arrs = [np.asarray(b) for b in buffers]
     shape, dtype = arrs[0].shape, arrs[0].dtype
-    if dtype != expect_dtype:
-        raise ValueError(f"expected {np.dtype(expect_dtype)} buffers, got {dtype}")
+    if dtype not in (np.float32, np.uint16):
+        raise ValueError(f"expected float32 or uint16 (binary16) buffers, got {dtype}")
     for i, a in enumerate(arrs):
         if a.shape != shape or a.dtype != dtype:
             raise ValueError(
@@ -270,31 +269,22 @@ def fold_ascending(buffers: list[np.ndarray], op: str = "sum") -> np.ndarray:
     return acc
 
 
-def fold_f16_tree(buffers: list[np.ndarray]) -> np.ndarray:
-    """Pairwise-tree fold of uint16 pattern buffers, widen-add-narrow."""
-    level = list(buffers)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(f32_to_f16(f16_to_f32(level[i]) + f16_to_f32(level[i + 1])))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return np.asarray(level[0], dtype=np.uint16).copy()
-
-
 def _finish(buffers, schedule, op) -> tuple[list[np.ndarray], ReduceSchedule]:
-    reduced = fold_ascending(buffers, op)
+    if buffers[0].dtype == np.uint16:
+        reduced = f32_to_f16(fold_ascending([f16_to_f32(b) for b in buffers], op))
+    else:
+        reduced = fold_ascending(buffers, op)
     return [reduced.copy() for _ in buffers], schedule
 
 
 def ring_allreduce(buffers, topo: Topology | None = None, *, op: str = "sum"):
-    """All-reduce FP32 buffers over the ring schedule.
+    """All-reduce FP32 or binary16 (uint16) buffers over the ring schedule.
 
     Returns (per-worker results, schedule); results are bitwise equal to
-    the ascending sequential fold on every worker.
+    the ascending sequential fold on every worker (for binary16, the fold
+    of the widened inputs, narrowed once).
     """
-    arrs = _validated(buffers, np.float32)
+    arrs = _validated(buffers)
     p = len(arrs)
     if topo is not None and topo.p != p:
         raise ValueError(f"topology is for p={topo.p}, got {p} buffers")
@@ -303,38 +293,9 @@ def ring_allreduce(buffers, topo: Topology | None = None, *, op: str = "sum"):
 
 
 def hierarchical_allreduce(buffers, topo: Topology, *, op: str = "sum"):
-    """All-reduce FP32 buffers over the three-phase hierarchical schedule."""
-    arrs = _validated(buffers, np.float32)
+    """All-reduce FP32 or binary16 buffers over the hierarchical schedule."""
+    arrs = _validated(buffers)
     if topo.p != len(arrs):
         raise ValueError(f"topology is for p={topo.p}, got {len(arrs)} buffers")
     sched = hierarchical_schedule(topo, arrs[0].size, arrs[0].itemsize)
     return _finish(arrs, sched, op)
-
-
-def hybrid_allreduce(buffers, topo: Topology, eta_bytes: int, *, op: str = "sum"):
-    """Pick ring or hierarchical by payload size, then all-reduce."""
-    arrs = _validated(buffers, np.float32)
-    if choose_algorithm(arrs[0].nbytes, eta_bytes) == "hierarchical":
-        return hierarchical_allreduce(arrs, topo, op=op)
-    return ring_allreduce(arrs, topo, op=op)
-
-
-def allreduce_f16(buffers, topo: Topology | None = None, *, algorithm: str = "ring"):
-    """All-reduce uint16 binary16 patterns; combines widen-add-narrow.
-
-    The byte accounting in the schedule reflects the 2-byte payloads.
-    """
-    arrs = _validated(buffers, np.uint16)
-    p = len(arrs)
-    if topo is not None and topo.p != p:
-        raise ValueError(f"topology is for p={topo.p}, got {p} buffers")
-    if algorithm == "ring":
-        sched = ring_schedule(p, arrs[0].size, arrs[0].itemsize, k=topo.k if topo else 1)
-    elif algorithm == "hierarchical":
-        if topo is None:
-            raise ValueError("hierarchical all-reduce needs a topology")
-        sched = hierarchical_schedule(topo, arrs[0].size, arrs[0].itemsize)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    reduced = fold_f16_tree(arrs)
-    return [reduced.copy() for _ in arrs], sched

@@ -209,29 +209,42 @@ def save_checkpoint(path, groups: list[ParamGroup], step: int = 0) -> None:
 
 def load_checkpoint(path) -> tuple[list[ParamGroup], int]:
     with open(path, "rb") as fh:
-        magic, version, step, count = _HEAD.unpack(fh.read(_HEAD.size))
-        if magic != _MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        groups = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            kind_code, flags, n = _GROUP_HEAD.unpack(fh.read(_GROUP_HEAD.size))
-            if kind_code >= len(KINDS):
-                raise ValueError(f"bad kind code {kind_code} in {name!r}")
-            master = np.frombuffer(fh.read(4 * n), dtype="<f4").astype(np.float32)
-            velocity = np.frombuffer(fh.read(4 * n), dtype="<f4").astype(np.float32)
-            working = np.frombuffer(fh.read(2 * n), dtype="<u2").astype(np.uint16)
-            groups.append(ParamGroup(
-                name=name,
-                kind=KINDS[kind_code],
-                master_w=master,
-                grad=np.zeros(n, dtype=np.float32),
-                velocity=velocity,
-                working_w16=working,
-                decay_exempt=bool(flags & 1),
-                lars_enabled=bool(flags & 2),
-            ))
+        data = fh.read()
+    pos = 0
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError(f"truncated checkpoint: {len(data)} bytes, "
+                             f"needs at least {pos + size}")
+        pos += size
+        return data[pos - size:pos]
+
+    magic, version, step, count = _HEAD.unpack(take(_HEAD.size))
+    if magic != _MAGIC:
+        raise ValueError(f"not a checkpoint file (magic {magic!r})")
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    groups = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode()
+        kind_code, flags, n = _GROUP_HEAD.unpack(take(_GROUP_HEAD.size))
+        if kind_code >= len(KINDS):
+            raise ValueError(f"bad kind code {kind_code} in {name!r}")
+        master = np.frombuffer(take(4 * n), dtype="<f4").astype(np.float32)
+        velocity = np.frombuffer(take(4 * n), dtype="<f4").astype(np.float32)
+        working = np.frombuffer(take(2 * n), dtype="<u2").astype(np.uint16)
+        groups.append(ParamGroup(
+            name=name,
+            kind=KINDS[kind_code],
+            master_w=master,
+            grad=np.zeros(n, dtype=np.float32),
+            velocity=velocity,
+            working_w16=working,
+            decay_exempt=bool(flags & 1),
+            lars_enabled=bool(flags & 2),
+        ))
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes after the checkpoint")
     return groups, step

@@ -25,7 +25,9 @@ interleave.
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
 0 = float32 array, 1 = uint16 array, 2 = UTF-8 JSON control record.
-A float32 frame received in place must be exactly the expected size.
+A float32 frame received in place must be exactly the expected size,
+an array frame must hold whole elements, and a control frame's payload
+is capped at 1 MiB; an unknown tag is rejected before the body is read.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ TAG_JSON = 2
 
 _LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<IB")  # length and tag
+# Cap on a control record's payload; the largest real one, the peer
+# table, is ~14 KB at p = 1024.
+_MAX_JSON = 1 << 20
 HOST = "127.0.0.1"
 
 
@@ -98,13 +103,15 @@ def send_frame(sock: socket.socket, tag: int, payload: bytes) -> None:
 
 
 def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    (length,) = _LEN.unpack(recv_exact(sock, 4))
+    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
     if length < 1:
         raise ConnectionError("zero-length frame")
-    body = recv_exact(sock, length)
-    if body[0] not in (TAG_F32, TAG_U16, TAG_JSON):
-        raise ConnectionError(f"unknown frame tag {body[0]}")
-    return body[0], body[1:]
+    if tag not in (TAG_F32, TAG_U16, TAG_JSON):
+        raise ConnectionError(f"unknown frame tag {tag}")
+    if tag == TAG_JSON and length - 1 > _MAX_JSON:
+        raise ConnectionError(f"control frame of {length - 1} bytes is over "
+                              f"the {_MAX_JSON}-byte cap")
+    return tag, recv_exact(sock, length - 1)
 
 
 def send_json(sock: socket.socket, doc: dict) -> None:
@@ -115,7 +122,10 @@ def recv_json(sock: socket.socket) -> dict:
     tag, payload = recv_frame(sock)
     if tag != TAG_JSON:
         raise ConnectionError(f"expected control frame, got tag {tag}")
-    return json.loads(payload.decode())
+    try:
+        return json.loads(payload.decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ConnectionError(f"undecodable control frame: {exc}") from exc
 
 
 def send_array(sock: socket.socket, arr: np.ndarray) -> None:
@@ -129,11 +139,13 @@ def send_array(sock: socket.socket, arr: np.ndarray) -> None:
 
 def recv_array(sock: socket.socket) -> np.ndarray:
     tag, payload = recv_frame(sock)
-    if tag == TAG_F32:
-        return np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    if tag == TAG_U16:
-        return np.frombuffer(payload, dtype="<u2").astype(np.uint16)
-    raise ConnectionError(f"expected array frame, got tag {tag}")
+    if tag == TAG_JSON:
+        raise ConnectionError(f"expected array frame, got tag {tag}")
+    wire, native = ("<f4", np.float32) if tag == TAG_F32 else ("<u2", np.uint16)
+    if len(payload) % np.dtype(wire).itemsize:
+        raise ConnectionError(f"array frame of {len(payload)} bytes is not a whole "
+                              f"number of {np.dtype(native).name} elements")
+    return np.frombuffer(payload, dtype=wire).astype(native)
 
 
 def recv_array_into(sock: socket.socket, out: np.ndarray) -> None:
@@ -405,9 +417,9 @@ class TcpCluster:
                     # a probe or dropped dial; keep waiting for real claims
                     sock.close()
                     continue
-                rank = hello.get("hello")
-                port = hello.get("listen_port")
-                if not isinstance(rank, int) or not 0 <= rank < self.p or rank in seen:
+                claim = hello if isinstance(hello, dict) else {}
+                rank, port = claim.get("hello"), claim.get("listen_port")
+                if type(rank) is not int or not 0 <= rank < self.p or rank in seen:
                     send_json(sock, {"error": f"bad or duplicate rank claim: {rank!r}"})
                     for m in seen.values():
                         send_json(m.sock, {"error": "rendezvous failed"})

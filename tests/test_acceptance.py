@@ -14,11 +14,9 @@ import pytest
 
 from gradsync.collectives import (
     Topology,
-    allreduce_f16,
     choose_algorithm,
     hierarchical_allreduce,
     hierarchical_schedule,
-    hybrid_allreduce,
     ring_allreduce,
     ring_schedule,
 )
@@ -81,6 +79,7 @@ def test_step_counts_match_closed_forms_across_topologies():
 
 def test_reductions_match_sequential_oracle_and_f16_bound():
     rng = np.random.default_rng(2024)
+    run = {"ring": ring_allreduce, "hierarchical": hierarchical_allreduce}
     for case in range(200):
         p = int(rng.integers(1, 17))
         n = int(rng.integers(1, 4097))
@@ -92,7 +91,8 @@ def test_reductions_match_sequential_oracle_and_f16_bound():
 
         ring_out, _ = ring_allreduce(bufs)
         hier_out, _ = hierarchical_allreduce(bufs, topo)
-        hybrid_out, _ = hybrid_allreduce(bufs, topo, eta_bytes=n * 2)
+        chosen = choose_algorithm(bufs[0].nbytes, n * 2)
+        hybrid_out, _ = run[chosen](bufs, topo)
         for r in range(p):
             assert np.array_equal(ring_out[r], expect), f"case {case} ring"
             assert np.array_equal(hier_out[r], expect), f"case {case} hier"
@@ -102,10 +102,15 @@ def test_reductions_match_sequential_oracle_and_f16_bound():
             scaled = [rng.uniform(0.5, 1.5, n).astype(np.float32)
                       for _ in range(p)]
             ref = sequential_sum(scaled)
-            half_out, _ = allreduce_f16([f32_to_f16(s) for s in scaled], topo)
+            halves = [f32_to_f16(s) for s in scaled]
+            half_out, _ = ring_allreduce(halves, topo)
             widened = f16_to_f32(half_out[0])
             rel = np.max(np.abs(widened - ref) / np.abs(ref))
             assert rel <= 2.0 ** -9, f"case {case}: f16 error {rel}"
+            assert np.array_equal(half_out[0], f32_to_f16(
+                sequential_sum([f16_to_f32(h) for h in halves]))), f"case {case} f16"
+            hier_half, _ = hierarchical_allreduce(halves, topo)
+            assert np.array_equal(hier_half[0], half_out[0]), f"case {case} f16 hier"
 
 
 # 3 ------------------------------------------------------------------------

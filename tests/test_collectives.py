@@ -8,12 +8,10 @@ from gradsync import halfprec as hp
 from gradsync.collectives import (
     ReduceSchedule,
     Topology,
-    allreduce_f16,
     choose_algorithm,
     chunk_sizes,
     hierarchical_allreduce,
     hierarchical_schedule,
-    hybrid_allreduce,
     ring_allreduce,
     ring_schedule,
 )
@@ -209,10 +207,11 @@ def test_hybrid_selector_boundaries():
     assert choose_algorithm(100, 100) == "ring"   # tie goes to ring
     assert choose_algorithm(100, 0) == "ring"     # zero threshold: always ring
     bufs = [np.ones(25, np.float32) for _ in range(4)]  # 100-byte payloads
-    _, sched = hybrid_allreduce(bufs, Topology(4, 2), eta_bytes=101)
-    assert sched.algorithm == "hierarchical"
-    _, sched = hybrid_allreduce(bufs, Topology(4, 2), eta_bytes=100)
-    assert sched.algorithm == "ring"
+    run = {"ring": ring_allreduce, "hierarchical": hierarchical_allreduce}
+    for eta, expect in ((101, "hierarchical"), (100, "ring")):
+        chosen = choose_algorithm(bufs[0].nbytes, eta)
+        _, sched = run[chosen](bufs, Topology(4, 2))
+        assert sched.algorithm == expect
 
 
 def test_validation_errors():
@@ -223,12 +222,14 @@ def test_validation_errors():
         ring_allreduce([good.astype(np.float64), good.astype(np.float64)])
     with pytest.raises(ValueError, match="shape"):
         ring_allreduce([good, np.ones(5, np.float32)])
+    with pytest.raises(ValueError, match="expected float32"):
+        hierarchical_allreduce([np.ones(4, np.int16)] * 2, Topology(2, 2))
+    with pytest.raises(ValueError, match="dtype uint16"):
+        ring_allreduce([good, np.ones(4, np.uint16)])
+    with pytest.raises(ValueError, match="dtype float32"):
+        ring_allreduce([np.ones(4, np.uint16), good])
     with pytest.raises(ValueError, match="topology is for"):
         ring_allreduce([good, good], Topology(4, 2))
-    with pytest.raises(ValueError, match="needs a topology"):
-        allreduce_f16([np.zeros(4, np.uint16)] * 2, algorithm="hierarchical")
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        allreduce_f16([np.zeros(4, np.uint16)] * 2, algorithm="tree")
 
 
 # --- fp16 path --------------------------------------------------------------
@@ -239,12 +240,12 @@ def test_f16_allreduce_error_bound_and_determinism():
     for p in (2, 5, 16):
         bufs32 = [rng.uniform(0.5, 1.5, 2048).astype(np.float32) for _ in range(p)]
         bufs16 = [hp.f32_to_f16(b) for b in bufs32]
-        out, sched = allreduce_f16(bufs16)
+        out, sched = ring_allreduce(bufs16)
         ref = seq_sum_oracle(bufs32)
         rel = np.max(np.abs(hp.f16_to_f32(out[0]) - ref) / np.abs(ref))
         assert rel <= 2.0**-9
         assert out[0].dtype == np.uint16
-        again, _ = allreduce_f16(bufs16)
+        again, _ = ring_allreduce(bufs16)
         assert np.array_equal(out[0], again[0])
         # schedule accounts 2-byte elements
         assert sched.bytes_on_wire == 2 * (p - 1) * 2048 * 2
@@ -254,11 +255,47 @@ def test_f16_hierarchical_variant():
     rng = np.random.default_rng(6)
     bufs32 = [rng.uniform(0.5, 1.5, 256).astype(np.float32) for _ in range(8)]
     bufs16 = [hp.f32_to_f16(b) for b in bufs32]
-    out, sched = allreduce_f16(bufs16, Topology(8, 4), algorithm="hierarchical")
+    topo = Topology(8, 4)
+    out, sched = hierarchical_allreduce(bufs16, topo)
     assert sched.algorithm == "hierarchical"
+    assert sched.bytes_on_wire == hierarchical_schedule(topo, 256, 2).bytes_on_wire
+    assert out[0].dtype == np.uint16
     ref = seq_sum_oracle(bufs32)
     rel = np.max(np.abs(hp.f16_to_f32(out[0]) - ref) / np.abs(ref))
     assert rel <= 2.0**-9
+    again, _ = hierarchical_allreduce(bufs16, topo)
+    assert np.array_equal(out[0], again[0])
+
+
+def test_f16_reduces_through_the_ascending_fold():
+    """uint16 input equals one narrow of the float32 fold of the widened
+    inputs, bitwise, for every topology and both ops."""
+    rng = np.random.default_rng(9)
+    n = 37
+    for p in range(1, 17):
+        bufs16 = [hp.f32_to_f16(rng.uniform(-0.5, 1, n) * 2.0 ** rng.integers(-24, 16, n))
+                  for _ in range(p)]
+        for b in bufs16:  # a column whose sum overflows, one of subnormals
+            b[:2] = hp.f32_to_f16(np.array([40000.0, 2.0**-24]))
+        wide = [hp.f16_to_f32(b) for b in bufs16]
+        for op in ("sum", "mean"):
+            acc = wide[0].copy()
+            for w in wide[1:]:
+                acc = acc + w
+            if op == "mean":
+                acc = acc / np.float32(p)
+            expect = hp.f32_to_f16(acc)
+            ring, ring_sched = ring_allreduce(bufs16, op=op)
+            assert ring_sched.bytes_on_wire == ring_schedule(p, n, 2).bytes_on_wire
+            for r in range(p):
+                assert ring[r].dtype == np.uint16
+                assert np.array_equal(ring[r], expect), (p, op)
+            for k in (d for d in range(1, p + 1) if p % d == 0):
+                topo = Topology(p, k)
+                hier, sched = hierarchical_allreduce(bufs16, topo, op=op)
+                assert sched.bytes_on_wire == hierarchical_schedule(topo, n, 2).bytes_on_wire
+                for r in range(p):
+                    assert np.array_equal(hier[r], expect), (p, k, op)
 
 
 # --- properties -------------------------------------------------------------

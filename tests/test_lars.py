@@ -290,3 +290,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
     versioned.write_bytes(_s.pack("<4sHQI", b"LARS", 9, 0, 0))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(versioned)
+
+
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    groups = [make_param_group("fc1.w", "weight", np.arange(3.0)),
+              make_param_group("fc1.b", "bias", np.ones(2))]
+    path = tmp_path / "state.lars"
+    save_checkpoint(path, groups, step=7)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.lars"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(cut)
+    cut.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(cut)
+    cut.write_bytes(data)
+    loaded, step = load_checkpoint(cut)
+    assert step == 7 and [g.name for g in loaded] == ["fc1.w", "fc1.b"]

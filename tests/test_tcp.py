@@ -66,6 +66,91 @@ def test_frame_rejects_unknown_tag():
         b.close()
 
 
+def test_frame_rejects_unknown_tag_before_the_body():
+    a, b = socket.socketpair()
+    try:
+        b.settimeout(5)  # reading the promised body would time out instead
+        a.sendall(tcp._HEAD.pack(1000, 7))
+        with pytest.raises(ConnectionError, match="tag 7"):
+            tcp.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_control_frames_are_capped():
+    a, b = socket.socketpair()
+    try:
+        b.settimeout(5)
+        a.sendall(tcp._HEAD.pack(2 + tcp._MAX_JSON, tcp.TAG_JSON))
+        with pytest.raises(ConnectionError, match="cap"):
+            tcp.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+    a, b = socket.socketpair()
+    try:
+        b.settimeout(5)
+        record = '"' + "x" * (tcp._MAX_JSON - 2) + '"'  # exactly at the cap
+        sender = threading.Thread(
+            target=tcp.send_frame, args=(a, tcp.TAG_JSON, record.encode()))
+        sender.start()
+        assert tcp.recv_json(b) == record[1:-1]
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("tag,payload", [
+    (tcp.TAG_F32, b"\x00" * 6),
+    (tcp.TAG_U16, b"\x00" * 3),
+], ids=["f32", "u16"])
+def test_recv_array_rejects_partial_elements(tag, payload):
+    a, b = socket.socketpair()
+    try:
+        tcp.send_frame(a, tag, payload)
+        with pytest.raises(ConnectionError, match="whole number"):
+            tcp.recv_array(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_recv_json_rejects_undecodable_payload():
+    a, b = socket.socketpair()
+    try:
+        tcp.send_frame(a, tcp.TAG_JSON, b"{not json")
+        tcp.send_frame(a, tcp.TAG_JSON, b"\xff\xfe")
+        for _ in range(2):
+            with pytest.raises(ConnectionError, match="undecodable"):
+                tcp.recv_json(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_worker_exits_3_on_a_partial_element_input():
+    with socket.create_server((tcp.HOST, 0)) as server:
+        server.settimeout(10)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(
+            tcp.run_worker(tcp.HOST, server.getsockname()[1], 0, timeout=10)))
+        worker.start()
+        coord, _ = server.accept()
+        with coord:
+            coord.settimeout(10)
+            assert tcp.recv_json(coord)["hello"] == 0
+            tcp.send_json(coord, {"peers": {}, "p": 1})
+            tcp.send_json(coord, {"plan": {"algorithm": "ring", "p": 1, "k": 1,
+                                           "op": "sum"}})
+            tcp.send_frame(coord, tcp.TAG_F32, b"\x00" * 6)
+            worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert codes == [3]
+
+
 def test_empty_array_frame():
     a, b = socket.socketpair()
     try:
@@ -349,6 +434,28 @@ def test_rendezvous_rejects_out_of_range_rank():
     t.join(timeout=5)
     assert errors
     c.close()
+
+
+@pytest.mark.parametrize("hello", [b"[1]", b'{"hello": true, "listen_port": 1}'],
+                         ids=["list", "bool-rank"])
+def test_rendezvous_rejects_a_malformed_hello(hello):
+    port = _free_port()
+    errors = []
+    t = threading.Thread(target=_boot_unspawned, args=(port, errors))
+    t.start()
+    c1 = _connect_retry(port, 0)
+    c2 = socket.create_connection((tcp.HOST, port), timeout=5)
+    c2.settimeout(5)
+    try:
+        tcp.send_frame(c2, tcp.TAG_JSON, hello)
+        assert "error" in tcp.recv_json(c2) and "error" in tcp.recv_json(c1)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], CollectiveAbort)
+        assert c1.recv(1) == b"" and c2.recv(1) == b""
+    finally:
+        c1.close()
+        c2.close()
 
 
 def test_rejected_rendezvous_closes_every_socket():
