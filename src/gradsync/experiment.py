@@ -1,9 +1,11 @@
 """Deterministic data-parallel training runs with modeled communication.
 
-A run shards each batch across simulated workers, fuses the per-worker
-gradients into threshold-sized buffers, all-reduces every buffer with
-the size-based algorithm choice, and applies the shared optimizer step
-to one replica.  Communication time comes from the alpha-beta cost
+A run shards each batch across simulated workers and lays worker w's
+gradients into row w of one (workers x elements) matrix per step.  The
+fusion buckets are column slices of that matrix, planned once per run
+from the parameter layout and the threshold; each bucket is all-reduced
+with its size-based algorithm choice, and the shared optimizer step is
+applied to one replica.  Communication time comes from the alpha-beta cost
 model, never the wall clock, so two runs with the same seed produce
 byte-identical metrics files.  Artifacts land in a fresh directory per
 run: metrics.csv, fusion_trace.jsonl, activations.jsonl, config.json,
@@ -19,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from .collectives import (
     ring_allreduce,
     ring_schedule,
 )
-from .fusion import FusedBatch, FusionBuffer, trace_record, unpack
+from .fusion import FusionBuffer, trace_record
 from .halfprec import LossScale, unscale_gradients
 from .lars import LarsConfig, Schedule, lars_step
 from .netsim import LinkModel, simulate
@@ -118,8 +121,13 @@ class ExperimentConfig:
             bad.append(f"loss must be softmax_ce or mse, got {self.loss!r}")
         if self.schedule not in ("constant", "poly"):
             bad.append(f"schedule must be constant or poly, got {self.schedule!r}")
-        elif self.schedule == "poly" and self.steps <= self.warmup_steps:
-            bad.append("poly schedule needs steps > warmup_steps")
+        elif self.schedule == "poly":
+            if self.steps <= self.warmup_steps:
+                bad.append("poly schedule needs steps > warmup_steps")
+            if self.power <= 0:
+                bad.append(f"power must be positive, got {self.power}")
+            if not 0 <= self.end_lr <= self.base_lr:
+                bad.append(f"end_lr must sit in [0, base_lr], got {self.end_lr}")
         if self.warmup_steps < 0:
             bad.append("warmup_steps must be >= 0")
         if self.base_lr <= 0:
@@ -147,6 +155,10 @@ class ExperimentConfig:
             bad.append("alpha must be >= 0")
         if self.bandwidth <= 0:
             bad.append("bandwidth must be positive")
+        if self.intra_alpha is not None and self.intra_alpha < 0:
+            bad.append("intra_alpha must be >= 0")
+        if self.intra_bandwidth is not None and self.intra_bandwidth <= 0:
+            bad.append("intra_bandwidth must be positive")
         if bad:
             raise ConfigError(bad)
 
@@ -281,28 +293,6 @@ def stepcount_table() -> dict:
 # --- the run itself ---------------------------------------------------------
 
 
-def _fused_allreduce(worker_batches, topo, link, eta_bytes, cluster=None):
-    """All-reduce one aligned set of per-worker fused batches.
-
-    Returns (mean payload, algorithm, modeled seconds, wire bytes).
-    """
-    payloads = [wb.payload for wb in worker_batches]
-    nbytes = worker_batches[0].nbytes
-    algorithm = choose_algorithm(nbytes, eta_bytes)
-    # Overflowed gradients travel through the collective on steps the scale
-    # policy is about to skip, so non-finite sums are expected here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cluster is not None:
-            results, sched = cluster.allreduce(payloads, algorithm=algorithm,
-                                               k=topo.k, op="mean")
-        elif algorithm == "hierarchical":
-            results, sched = hierarchical_allreduce(payloads, topo, op="mean")
-        else:
-            results, sched = ring_allreduce(payloads, topo, op="mean")
-    report = simulate(sched, link)
-    return results[0], algorithm, report.total_time, report.bytes_on_wire
-
-
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     cfg.validate()
     out_base = Path(out_root if out_root is not None else cfg.out_dir)
@@ -336,6 +326,16 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
                      intra_group_alpha=cfg.intra_alpha,
                      intra_group_beta_inv=cfg.intra_bandwidth)
 
+    # The bucket plan, fixed by the parameter layout and the threshold:
+    # bucket b holds columns bounds[b]:bounds[b + 1] of the flat gradient.
+    fuser = FusionBuffer(cfg.fusion_threshold)
+    planned = [fuser.enqueue(g.name, g.grad) for g in net.groups] + [fuser.flush()]
+    planned = [batch for batch in planned if batch is not None]
+    bounds = list(accumulate((batch.payload.size for batch in planned), initial=0))
+    algorithms = [choose_algorithm(batch.nbytes, cfg.hybrid_eta) for batch in planned]
+    step_algos = "+".join(sorted(set(algorithms)))
+    offsets = list(accumulate((g.grad.size for g in net.groups), initial=0))
+
     cluster = None
     if cfg.transport == "tcp" and cfg.workers > 1:
         from .tcp import TcpCluster
@@ -343,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
 
     shard_len = cfg.batch_size // cfg.workers
     skipped = 0
-    algo_counts = {"ring": 0, "hierarchical": 0}
+    costs = []  # each bucket's SimReport, from the schedule of its step-0 all-reduce
     comm_total = 0.0
     wire_total = 0
     stats_records: list[dict] = []
@@ -357,51 +357,44 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
 
             step_scale = scale.scale
             shard_losses = []
-            worker_grads: list[dict[str, np.ndarray]] = []
             collect = stats_records if step % 10 == 0 else None
+            # A fresh matrix every step: the all-reduce inputs are views of it,
+            # and a caller that wraps the all-reduce may keep them.
+            grads = np.empty((cfg.workers, offsets[-1]), dtype=np.float32)
             for w in range(cfg.workers):
                 sl = slice(w * shard_len, (w + 1) * shard_len)
                 loss = net.forward_backward(
                     bx[sl], by[sl], mixed=cfg.mixed, loss_scale=step_scale,
                     collect_stats=collect if w == 0 else None, stats_step=step)
                 shard_losses.append(loss)
-                worker_grads.append({g.name: g.grad.copy() for g in net.groups})
+                np.concatenate([g.grad for g in net.groups], out=grads[w])
 
-            buffers = [FusionBuffer(cfg.fusion_threshold)
-                       for _ in range(cfg.workers)]
-            step_batches: list[list[FusedBatch]] = [[] for _ in range(cfg.workers)]
-            for g in net.groups:
-                for w in range(cfg.workers):
-                    emitted = buffers[w].enqueue(g.name, worker_grads[w][g.name])
-                    if emitted is not None:
-                        step_batches[w].append(emitted)
-            for w in range(cfg.workers):
-                tail = buffers[w].flush()
-                if tail is not None:
-                    step_batches[w].append(tail)
-
-            merged: dict[str, np.ndarray] = {}
-            step_comm = 0.0
-            step_wire = 0
-            step_algos = set()
-            for b_idx in range(len(step_batches[0])):
-                aligned = [step_batches[w][b_idx] for w in range(cfg.workers)]
-                mean_payload, algorithm, secs, wire = _fused_allreduce(
-                    aligned, topo, link, cfg.hybrid_eta, cluster)
-                algo_counts[algorithm] += 1
-                step_algos.add(algorithm)
-                step_comm += secs
-                step_wire += wire
-                trace_records.append(trace_record(step, b_idx, aligned[0]))
-                averaged = FusedBatch(payload=mean_payload,
-                                      unpack_map=aligned[0].unpack_map)
-                for name, tensor in unpack(averaged):
-                    merged[name] = tensor
+            reduced = np.empty(offsets[-1], dtype=np.float32)
+            for b, (lo, hi, algorithm) in enumerate(
+                    zip(bounds, bounds[1:], algorithms)):
+                rows = list(grads[:, lo:hi])
+                # Overflowed gradients travel through the collective on steps the
+                # scale policy is about to skip, so non-finite sums are expected.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if cluster is not None:
+                        results, schedule = cluster.allreduce(
+                            rows, algorithm=algorithm, k=topo.k, op="mean")
+                    elif algorithm == "hierarchical":
+                        results, schedule = hierarchical_allreduce(
+                            rows, topo, op="mean")
+                    else:
+                        results, schedule = ring_allreduce(rows, topo, op="mean")
+                reduced[lo:hi] = results[0]
+                if step == 0:
+                    costs.append(simulate(schedule, link))
+                trace_records.append(trace_record(step, b, planned[b]))
+            step_comm = sum(cost.total_time for cost in costs)
+            step_wire = sum(cost.bytes_on_wire for cost in costs)
             comm_total += step_comm
             wire_total += step_wire
 
-            for g in net.groups:
-                g.grad[:] = merged[g.name]
+            for g, lo, hi in zip(net.groups, offsets, offsets[1:]):
+                g.grad[:] = reduced[lo:hi]
             applied = scale.update([g.grad for g in net.groups])
             grad_norm = 0.0
             if applied:
@@ -421,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
                 "scale": f"{step_scale:.9g}",
                 "skipped": 0 if applied else 1,
                 "grad_norm": f"{grad_norm:.9g}",
-                "algorithm": "+".join(sorted(step_algos)) if step_algos else "none",
+                "algorithm": step_algos,
                 "comm_time": f"{step_comm:.9g}",
                 "wire_bytes": step_wire,
             })
@@ -438,7 +431,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
         "final_loss": final["loss"],
         "final_accuracy": final["accuracy"],
         "loss_scale_end": scale.scale,
-        "algorithm_batches": algo_counts,
+        "algorithm_batches": {a: algorithms.count(a) * cfg.steps
+                              for a in ("ring", "hierarchical")},
         "modeled_comm_seconds": comm_total,
         "wire_bytes": wire_total,
         "run_dir": str(run_dir),

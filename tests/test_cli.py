@@ -55,6 +55,23 @@ def test_run_collects_all_config_problems(tmp_path, capsys):
     assert "workers" in err and "nonsense" in err and "momentum" in err
 
 
+def test_run_reports_schedule_and_link_problems_before_touching_disk(
+        tmp_path, capsys):
+    # every bound that Schedule and LinkModel enforce is a config error,
+    # reported together, before a run directory exists
+    out = tmp_path / "runs"
+    rc, _, err = run_cli(capsys, [
+        "run", "--preset", "smoke", "--set", "intra_alpha=-1",
+        "--set", "intra_bandwidth=0", "--set", "schedule=poly",
+        "--set", "end_lr=5", "--set", "power=-1", "--out", str(out)])
+    assert rc == 2
+    problems = [line for line in err.splitlines()
+                if line.startswith("config error: ")]
+    for field in ("intra_alpha", "intra_bandwidth", "end_lr", "power"):
+        assert any(field in line for line in problems), (field, err)
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["run", "--preset", "warp-speed",
                                   "--out", str(tmp_path)])

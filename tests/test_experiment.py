@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gradsync import experiment
 from gradsync.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -114,6 +115,41 @@ def test_hybrid_eta_switches_the_algorithm(tmp_path):
     assert hier["algorithm_batches"]["hierarchical"] > 0
     algos = {r["algorithm"] for r in read_metrics(hier)}
     assert algos == {"hierarchical"}
+
+
+def test_bucket_plan_and_costs_are_built_once_per_run(tmp_path, monkeypatch):
+    # a deep narrow net with many buckets of both algorithms: the fusion
+    # layout is planned once, and each bucket's cost is modeled once
+    calls = {"FusionBuffer": 0, "simulate": 0}
+
+    def counted(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    counted("FusionBuffer")
+    counted("simulate")
+    cfg = ExperimentConfig(workers=8, group_size=2, features=16, classes=4,
+                           hidden=(16,) * 12, samples=512, batch_size=64,
+                           steps=4, mixed=False, base_lr=0.2,
+                           fusion_threshold=256, hybrid_eta=1056)
+    report = run_experiment(cfg, out_root=tmp_path)
+    trace = read_jsonl(report, "fusion_trace.jsonl")
+    buckets = len(trace) // cfg.steps
+    assert buckets > 2
+    assert calls == {"FusionBuffer": 1, "simulate": buckets}
+    # every step ships the same buckets at the same modeled cost
+    first = [(r["tensor_ids"], r["bytes"]) for r in trace[:buckets]]
+    for step in range(1, cfg.steps):
+        rows = trace[step * buckets:(step + 1) * buckets]
+        assert [(r["tensor_ids"], r["bytes"]) for r in rows] == first
+    costs = {(r["algorithm"], r["comm_time"], r["wire_bytes"])
+             for r in read_metrics(report)}
+    assert len(costs) == 1
+    assert next(iter(costs))[0] == "hierarchical+ring"
 
 
 def test_stepcount_table_flagship_row():
