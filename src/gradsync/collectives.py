@@ -26,7 +26,8 @@ once, so the only binary16 rounding is the inputs' and the result's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,16 +77,28 @@ class Topology:
         return [g * self.k for g in range(self.group_count)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Round:
     """One step round: concurrent transfers sharing a phase tag.
 
     ``transfers`` is an (n, 3) int64 array of sender, receiver,
-    byte_count rows.
+    byte_count rows.  The round keeps its own read-only copy, so a
+    schedule can be shared and the caller's array is left alone.
     """
 
     phase: str
     transfers: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.transfers, dtype=np.int64).reshape(-1, 3)
+        t.flags.writeable = False
+        object.__setattr__(self, "transfers", t)
+
+    def __eq__(self, other):
+        if not isinstance(other, Round):
+            return NotImplemented
+        return self.phase == other.phase and np.array_equal(self.transfers,
+                                                             other.transfers)
 
     @property
     def max_bytes(self) -> int:
@@ -96,14 +109,21 @@ class Round:
         return int(self.transfers[:, 2].sum()) if len(self.transfers) else 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReduceSchedule:
-    """Ordered rounds for one all-reduce, plus enough to serialize them."""
+    """Ordered rounds for one all-reduce, plus enough to serialize them.
+
+    Immutable, so the all-reduce entry points can hand one schedule to
+    every call of the same shape.
+    """
 
     algorithm: str
     p: int
     k: int
-    rounds: list[Round] = field(default_factory=list)
+    rounds: tuple[Round, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "rounds", tuple(self.rounds))
 
     @property
     def total_steps(self) -> int:
@@ -134,11 +154,7 @@ class ReduceSchedule:
     @classmethod
     def from_json(cls, text: str) -> "ReduceSchedule":
         doc = json.loads(text)
-        rounds = [
-            Round(phase=s["phase"],
-                  transfers=np.asarray(s["transfers"], dtype=np.int64).reshape(-1, 3))
-            for s in doc["steps"]
-        ]
+        rounds = [Round(phase=s["phase"], transfers=s["transfers"]) for s in doc["steps"]]
         return cls(algorithm=doc["algorithm"], p=doc["p"], k=doc["k"], rounds=rounds)
 
 
@@ -165,18 +181,18 @@ def ring_schedule(p: int, n_elems: int, itemsize: int = 4, k: int = 1) -> Reduce
     neighbor.  Every round moves one chunk per worker, matching the
     classic ring's accounting.
     """
-    sched = ReduceSchedule(algorithm="ring", p=p, k=k)
     if p == 1:
-        return sched
+        return ReduceSchedule(algorithm="ring", p=p, k=k)
     sizes = chunk_sizes(n_elems, p) * itemsize
     ranks = np.arange(p)
+    rounds = []
     for s in range(1, p):
         owners = (ranks + s) % p
-        sched.rounds.append(_round("reduce_scatter", ranks, owners, sizes[owners]))
+        rounds.append(_round("reduce_scatter", ranks, owners, sizes[owners]))
     for s in range(1, p):
         chunks = (ranks - s + 1) % p
-        sched.rounds.append(_round("allgather", ranks, (ranks + 1) % p, sizes[chunks]))
-    return sched
+        rounds.append(_round("allgather", ranks, (ranks + 1) % p, sizes[chunks]))
+    return ReduceSchedule(algorithm="ring", p=p, k=k, rounds=rounds)
 
 
 def hierarchical_schedule(topo: Topology, n_elems: int, itemsize: int = 4) -> ReduceSchedule:
@@ -188,24 +204,24 @@ def hierarchical_schedule(topo: Topology, n_elems: int, itemsize: int = 4) -> Re
     reduce (``2(k-1)`` rounds).
     """
     p, k, G = topo.p, topo.k, topo.group_count
-    sched = ReduceSchedule(algorithm="hierarchical", p=p, k=k)
     if p == 1:
-        return sched
+        return ReduceSchedule(algorithm="hierarchical", p=p, k=k)
     intra = chunk_sizes(n_elems, k) * itemsize
     base = np.repeat(np.arange(G) * k, k)          # group base rank per member slot
     offs = np.tile(np.arange(k), G)                # member offset within group
+    rounds = []
 
     if k > 1:
         for s in range(1, k):
             dest = (offs + s) % k
-            sched.rounds.append(_round(
+            rounds.append(_round(
                 "intra_reduce_scatter", base + offs, base + dest, intra[dest]))
         for s in range(1, k):
             # pipeline: chunk j+s-1 rides the sender at offset j this round
             j = np.arange(1, k - s + 1)
             snd = (np.arange(G)[:, None] * k + j[None, :]).ravel()
             chunk = np.tile(j + s - 1, G)
-            sched.rounds.append(_round("intra_gather", snd, snd - 1, intra[chunk]))
+            rounds.append(_round("intra_gather", snd, snd - 1, intra[chunk]))
 
     if G > 1:
         masters = np.arange(G) * k
@@ -213,11 +229,11 @@ def hierarchical_schedule(topo: Topology, n_elems: int, itemsize: int = 4) -> Re
         gids = np.arange(G)
         for s in range(1, G):
             owners = (gids + s) % G
-            sched.rounds.append(_round(
+            rounds.append(_round(
                 "master_reduce_scatter", masters, masters[owners], gsizes[owners]))
         for s in range(1, G):
             chunks = (gids - s + 1) % G
-            sched.rounds.append(_round(
+            rounds.append(_round(
                 "master_allgather", masters, masters[(gids + 1) % G], gsizes[chunks]))
 
     if k > 1:
@@ -226,12 +242,12 @@ def hierarchical_schedule(topo: Topology, n_elems: int, itemsize: int = 4) -> Re
             j = np.arange(0, s)
             snd = (np.arange(G)[:, None] * k + j[None, :]).ravel()
             chunk = np.tile(k - s + j, G)
-            sched.rounds.append(_round("intra_scatter", snd, snd + 1, intra[chunk]))
+            rounds.append(_round("intra_scatter", snd, snd + 1, intra[chunk]))
         for s in range(1, k):
             chunk = (offs - s + 1) % k
-            sched.rounds.append(_round(
+            rounds.append(_round(
                 "intra_allgather", base + offs, base + (offs + 1) % k, intra[chunk]))
-    return sched
+    return ReduceSchedule(algorithm="hierarchical", p=p, k=k, rounds=rounds)
 
 
 def choose_algorithm(nbytes: int, eta_bytes: int) -> str:
@@ -277,18 +293,33 @@ def _finish(buffers, schedule, op) -> tuple[list[np.ndarray], ReduceSchedule]:
     return [reduced.copy() for _ in buffers], schedule
 
 
+# One build per all-reduce shape.  The builders themselves stay uncached:
+# a p=1024 ring schedule holds ~50 MB of transfer rows, and sweeps touch
+# many sizes once.  A run with more distinct buckets than ``maxsize``
+# cycles the LRU and falls back to one build per call.
+@lru_cache(maxsize=128)
+def _schedule(algorithm: str, p: int, k: int, n_elems: int, itemsize: int) -> ReduceSchedule:
+    topo = Topology(p, k)  # rejects a group size that does not divide p, ring too
+    if algorithm == "ring":
+        return ring_schedule(p, n_elems, itemsize, k=k)
+    if algorithm == "hierarchical":
+        return hierarchical_schedule(topo, n_elems, itemsize)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def ring_allreduce(buffers, topo: Topology | None = None, *, op: str = "sum"):
     """All-reduce FP32 or binary16 (uint16) buffers over the ring schedule.
 
     Returns (per-worker results, schedule); results are bitwise equal to
     the ascending sequential fold on every worker (for binary16, the fold
-    of the widened inputs, narrowed once).
+    of the widened inputs, narrowed once).  The schedule is shared by
+    every call of the same shape.
     """
     arrs = _validated(buffers)
     p = len(arrs)
     if topo is not None and topo.p != p:
         raise ValueError(f"topology is for p={topo.p}, got {p} buffers")
-    sched = ring_schedule(p, arrs[0].size, arrs[0].itemsize, k=topo.k if topo else 1)
+    sched = _schedule("ring", p, topo.k if topo else 1, arrs[0].size, arrs[0].itemsize)
     return _finish(arrs, sched, op)
 
 
@@ -297,5 +328,5 @@ def hierarchical_allreduce(buffers, topo: Topology, *, op: str = "sum"):
     arrs = _validated(buffers)
     if topo.p != len(arrs):
         raise ValueError(f"topology is for p={topo.p}, got {len(arrs)} buffers")
-    sched = hierarchical_schedule(topo, arrs[0].size, arrs[0].itemsize)
+    sched = _schedule("hierarchical", topo.p, topo.k, arrs[0].size, arrs[0].itemsize)
     return _finish(arrs, sched, op)

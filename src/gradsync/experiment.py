@@ -94,7 +94,9 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def validate(self) -> None:
-        bad: list[str] = []
+        bad: list[str] = [f"{name} must be finite, got {value}"
+                          for name, value in vars(self).items()
+                          if isinstance(value, float) and not math.isfinite(value)]
         if self.workers < 1:
             bad.append(f"workers must be >= 1, got {self.workers}")
         elif self.group_size < 1 or self.workers % self.group_size != 0:
@@ -229,7 +231,7 @@ def load_config(path=None, overrides=(), base: dict | None = None) -> Experiment
             continue
         try:
             kwargs[key] = _parse_value(key, value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             problems.append(f"bad value for {key!r}: {exc}")
     cfg = ExperimentConfig(**kwargs)
     try:

@@ -10,6 +10,7 @@ canonicalizes every NaN to one quiet float32 pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,9 @@ class LossScale:
     clean_steps: int = 0
 
     def __post_init__(self):
+        for name in ("scale", "growth_factor", "backoff_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.scale <= 0:
             raise ValueError(f"loss scale must stay positive, got {self.scale}")
         if self.policy not in ("fixed", "dynamic"):

@@ -13,6 +13,7 @@ rejected outright and mutates nothing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -44,6 +45,9 @@ class Schedule:
     power: float = 2.0
 
     def __post_init__(self):
+        for name in ("base_lr", "end_lr", "power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
         if self.kind not in ("constant", "poly"):
@@ -79,6 +83,9 @@ class LarsConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        for name in ("eta", "epsilon", "weight_decay", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.epsilon < 0:

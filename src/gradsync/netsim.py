@@ -9,6 +9,7 @@ links is modeled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .collectives import ReduceSchedule, Topology, hierarchical_schedule, ring_schedule
@@ -37,6 +38,10 @@ class LinkModel:
     intra_group_beta_inv: float | None = None
 
     def __post_init__(self):
+        for value in (self.alpha, self.beta_inv,
+                      self.intra_group_alpha, self.intra_group_beta_inv):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"link parameters must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError(f"latency must be >= 0, got {self.alpha}")
         if self.beta_inv <= 0:

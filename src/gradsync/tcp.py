@@ -49,10 +49,9 @@ import numpy as np
 from .collectives import (
     ReduceSchedule,
     Topology,
+    _schedule,
     chunk_sizes,
     fold_ascending,
-    hierarchical_schedule,
-    ring_schedule,
 )
 
 __all__ = ["CollectiveAbort", "TcpCluster", "run_over_tcp",
@@ -450,13 +449,7 @@ class TcpCluster:
         n = arrs[0].size
         if any(a.size != n for a in arrs):
             raise ValueError("buffers must share a length")
-        topo = Topology(self.p, k)
-        if algorithm == "ring":
-            sched = ring_schedule(self.p, n, 4, k=k)
-        elif algorithm == "hierarchical":
-            sched = hierarchical_schedule(topo, n, 4)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        sched = _schedule(algorithm, self.p, k, n, 4)
 
         if self.p == 1:
             return [fold_ascending(arrs, op)], sched

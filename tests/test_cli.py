@@ -72,6 +72,33 @@ def test_run_reports_schedule_and_link_problems_before_touching_disk(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    "alpha=nan", "base_lr=nan", "bandwidth=inf", "intra_bandwidth=-inf",
+    "loss_scale=inf", "momentum=nan"])
+def test_run_rejects_non_finite_values_before_touching_disk(
+        tmp_path, capsys, override):
+    out = tmp_path / "runs"
+    rc, stdout, err = run_cli(capsys, ["run", "--preset", "smoke",
+                                       "--set", override, "--out", str(out)])
+    assert rc == 2 and stdout == ""
+    field = override.split("=")[0]
+    assert f"config error: {field} must be finite" in err
+    assert not out.exists()
+
+
+def test_run_rejects_non_finite_values_in_a_config_file(tmp_path, capsys):
+    # Python's json reads NaN and Infinity, though neither is valid JSON
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"eta": NaN, "workers": Infinity}')
+    out = tmp_path / "runs"
+    rc, _, err = run_cli(capsys, ["run", "--config", str(cfg_file),
+                                  "--out", str(out)])
+    assert rc == 2
+    assert "config error: eta must be finite" in err
+    assert "config error: bad value for 'workers'" in err
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["run", "--preset", "warp-speed",
                                   "--out", str(tmp_path)])
@@ -159,6 +186,15 @@ def test_sweep_finds_regime_change(capsys):
     assert doc["suggested_hybrid_eta"] == doc["crossover_bytes"]
     crossing = [r for r in rows if r["bytes"] == doc["crossover_bytes"]][0]
     assert crossing["faster"] == "ring"
+
+
+@pytest.mark.parametrize("flag", [
+    "--alpha=nan", "--bandwidth=inf", "--intra-alpha=nan", "--intra-bandwidth=-inf"])
+def test_sweep_rejects_non_finite_link_values(capsys, flag):
+    rc, out, err = run_cli(capsys, ["sweep", "--workers", "8",
+                                    "--group-size", "2", flag])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_halfprec_inspect_hex(capsys):

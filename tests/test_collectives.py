@@ -1,12 +1,16 @@
 """Schedule accounting and deterministic all-reduce results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradsync import collectives
 from gradsync import halfprec as hp
 from gradsync.collectives import (
     ReduceSchedule,
+    Round,
     Topology,
     choose_algorithm,
     chunk_sizes,
@@ -15,6 +19,7 @@ from gradsync.collectives import (
     ring_allreduce,
     ring_schedule,
 )
+from gradsync.netsim import LinkModel, crossover_sweep
 
 
 def seq_sum_oracle(buffers):
@@ -147,6 +152,85 @@ def test_ring_p2_golden_schedule():
     assert [r.phase for r in s.rounds] == ["reduce_scatter", "allgather"]
     assert s.rounds[0].transfers.tolist() == [[0, 1, 8], [1, 0, 8]]
     assert s.rounds[1].transfers.tolist() == [[0, 1, 8], [1, 0, 8]]
+
+
+# --- frozen, shared schedules -------------------------------------------------
+
+SHAPES = [(2, 1), (4, 2), (6, 3), (8, 2), (8, 4)]
+
+
+def assert_frozen(sched):
+    """A schedule and its rounds cannot be changed in place."""
+    assert isinstance(sched.rounds, tuple) and sched.rounds
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.p = 99
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.rounds[0].phase = "other"
+    for rnd in sched.rounds:
+        with pytest.raises(ValueError, match="read-only"):
+            rnd.transfers[0, 2] = 0
+
+
+@pytest.mark.parametrize("p,k", SHAPES)
+@pytest.mark.parametrize("itemsize", [4, 2])
+def test_schedules_compare_by_value(p, k, itemsize):
+    ring = ring_schedule(p, 37, itemsize, k=k)
+    hier = hierarchical_schedule(Topology(p, k), 37, itemsize)
+    assert ring == ring_schedule(p, 37, itemsize, k=k)
+    assert hier == hierarchical_schedule(Topology(p, k), 37, itemsize)
+    assert ReduceSchedule.from_json(ring.to_json()) == ring
+    assert ReduceSchedule.from_json(hier.to_json()) == hier
+    assert ring != ring_schedule(p, 38 * p, itemsize, k=k)
+    assert ring.rounds[0] != Round("other", ring.rounds[0].transfers)
+
+
+@pytest.mark.parametrize("p,k", SHAPES)
+def test_schedules_are_frozen_from_every_source(p, k):
+    topo = Topology(p, k)
+    f32 = [np.ones(11, np.float32)] * p
+    f16 = [np.full(11, 0x3C00, np.uint16)] * p
+    ring = ring_schedule(p, 11, k=k)
+    sources = [
+        ring,
+        hierarchical_schedule(topo, 11),
+        ReduceSchedule.from_json(ring.to_json()),
+        ring_allreduce(f32, topo)[1],
+        hierarchical_allreduce(f32, topo)[1],
+        ring_allreduce(f16, topo)[1],
+        hierarchical_allreduce(f16, topo)[1],
+    ]
+    for sched in sources:
+        assert_frozen(sched)
+
+
+def test_round_copies_the_callers_array():
+    rows = np.array([[0, 1, 8], [1, 0, 8]], dtype=np.int64)
+    rnd = Round("reduce_scatter", rows)
+    assert rows.flags.writeable and not rnd.transfers.flags.writeable
+    rows[0, 2] = 99
+    assert rnd.transfers.tolist() == [[0, 1, 8], [1, 0, 8]]
+    sched = ReduceSchedule(algorithm="ring", p=2, k=1, rounds=[rnd])
+    assert sched.rounds == (rnd,)
+
+
+def test_same_shaped_allreduces_share_one_schedule():
+    topo = Topology(4, 2)
+    a = [np.arange(10, dtype=np.float32) + r for r in range(4)]
+    b = [np.ones(10, np.float32)] * 4
+    assert ring_allreduce(a, topo)[1] is ring_allreduce(b, topo)[1]
+    assert hierarchical_allreduce(a, topo)[1] is hierarchical_allreduce(b, topo)[1]
+    # a different length, dtype or group size is a different schedule
+    assert ring_allreduce([x[:9] for x in a], topo)[1] is not ring_allreduce(a, topo)[1]
+    assert ring_allreduce(a, Topology(4, 4))[1] is not ring_allreduce(a, topo)[1]
+    f16 = [np.zeros(10, np.uint16)] * 4
+    assert ring_allreduce(f16, topo)[1] is not ring_allreduce(a, topo)[1]
+
+
+def test_sweeps_leave_the_allreduce_cache_alone():
+    # builders stay uncached: a sweep over many sizes must not pin them
+    before = collectives._schedule.cache_info().currsize
+    crossover_sweep(64, 8, LinkModel(), [256, 4096, 1 << 20])
+    assert collectives._schedule.cache_info().currsize == before
 
 
 # --- execution --------------------------------------------------------------

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gradsync import experiment
+from gradsync import collectives, experiment
+from gradsync.collectives import choose_algorithm
 from gradsync.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -150,6 +152,39 @@ def test_bucket_plan_and_costs_are_built_once_per_run(tmp_path, monkeypatch):
              for r in read_metrics(report)}
     assert len(costs) == 1
     assert next(iter(costs))[0] == "hierarchical+ring"
+
+
+FP32_FUSED = dict(workers=8, group_size=2, features=16, classes=4,
+                  hidden=(16,) * 12, samples=512, batch_size=64, steps=5,
+                  mixed=False, base_lr=0.2, fusion_threshold=256, hybrid_eta=1056)
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: ExperimentConfig(**FP32_FUSED),
+    lambda: preset_config("smoke", ["transport=tcp"]),
+], ids=["fp32-fused", "smoke-tcp"])
+def test_each_allreduce_schedule_is_built_once(tmp_path, monkeypatch, make_cfg):
+    # one build per (algorithm, bucket size), however many steps and runs
+    builds = []
+    for name in ("ring_schedule", "hierarchical_schedule"):
+        def counted(*args, _build=getattr(collectives, name), **kwargs):
+            sched = _build(*args, **kwargs)
+            builds.append(sched.algorithm)
+            return sched
+        monkeypatch.setattr(collectives, name, counted)
+    collectives._schedule.cache_clear()
+    cfg = make_cfg()
+    reports = [run_experiment(cfg, out_root=tmp_path) for _ in range(2)]
+    trace = read_jsonl(reports[0], "fusion_trace.jsonl")
+    keys = {(choose_algorithm(r["bytes"], cfg.hybrid_eta), r["bytes"]) for r in trace}
+    assert Counter(builds) == Counter(algorithm for algorithm, _ in keys)
+    assert len(builds) < len(trace) * len(reports)  # bucket all-reduces made
+
+
+def test_stepcount_table_leaves_the_allreduce_cache_alone():
+    before = collectives._schedule.cache_info().currsize
+    stepcount_table()
+    assert collectives._schedule.cache_info().currsize == before
 
 
 def test_stepcount_table_flagship_row():

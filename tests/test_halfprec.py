@@ -333,3 +333,10 @@ def test_loss_scale_validation():
         hp.LossScale(backoff_factor=1.5)
     with pytest.raises(ValueError):
         hp.LossScale(growth_interval=0)
+
+
+@pytest.mark.parametrize("field", ["scale", "growth_factor", "backoff_factor"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_loss_scale_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        hp.LossScale(**{field: bad})

@@ -96,6 +96,17 @@ def test_schedule_validation():
         Schedule(base_lr=1.0, kind="poly", total_steps=10, end_lr=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_are_rejected(bad):
+    for field in ("base_lr", "end_lr", "power"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Schedule(**{"base_lr": 1.0, "kind": "poly", "total_steps": 10, field: bad})
+    sched = Schedule(base_lr=1.0)
+    for field in ("eta", "epsilon", "weight_decay", "momentum"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LarsConfig(schedule=sched, **{field: bad})
+
+
 def test_config_validation():
     sched = Schedule(base_lr=1.0)
     with pytest.raises(ValueError, match="eta"):

@@ -1,5 +1,7 @@
 """Link-model cost accounting and scaling-efficiency arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,8 @@ from gradsync.netsim import (
 
 
 def one_transfer_schedule(nbytes, phase="reduce_scatter"):
-    s = ReduceSchedule(algorithm="ring", p=2, k=1)
-    s.rounds.append(Round(phase=phase, transfers=np.array([[0, 1, nbytes]], dtype=np.int64)))
-    return s
+    return ReduceSchedule(algorithm="ring", p=2, k=1, rounds=(
+        Round(phase=phase, transfers=np.array([[0, 1, nbytes]], dtype=np.int64)),))
 
 
 def test_single_round_cost():
@@ -35,10 +36,11 @@ def test_single_round_cost():
 
 
 def test_rounds_serialize_and_use_max_transfer():
-    s = ReduceSchedule(algorithm="ring", p=4, k=1)
-    s.rounds.append(Round("reduce_scatter",
-                          np.array([[0, 1, 100], [1, 2, 400], [2, 3, 100]], np.int64)))
-    s.rounds.append(Round("allgather", np.array([[3, 0, 200]], np.int64)))
+    s = ReduceSchedule(algorithm="ring", p=4, k=1, rounds=(
+        Round("reduce_scatter",
+              np.array([[0, 1, 100], [1, 2, 400], [2, 3, 100]], np.int64)),
+        Round("allgather", np.array([[3, 0, 200]], np.int64)),
+    ))
     rep = simulate(s, LinkModel(alpha=1e-3, beta_inv=1e6))
     # concurrent transfers cost one alpha plus the largest payload
     assert rep.total_time == pytest.approx((1e-3 + 4e-4) + (1e-3 + 2e-4), rel=1e-12)
@@ -100,6 +102,14 @@ def test_link_validation():
         LinkModel(intra_group_alpha=-1.0)
     with pytest.raises(ValueError):
         LinkModel(intra_group_beta_inv=0.0)
+
+
+@pytest.mark.parametrize("field", [
+    "alpha", "beta_inv", "intra_group_alpha", "intra_group_beta_inv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_link_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        LinkModel(**{field: bad})
 
 
 def test_scaling_efficiency_identity():

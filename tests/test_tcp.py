@@ -1,5 +1,6 @@
 """Loopback transport tests: framing, rendezvous, and wire-vs-memory equality."""
 
+import dataclasses
 import socket
 import sys
 import threading
@@ -314,6 +315,28 @@ def test_persistent_cluster_runs_multiple_collectives():
         r2, _ = cluster.allreduce(b2, algorithm="hierarchical", k=2)
         m2, _ = hierarchical_allreduce(b2, Topology(4, 2))
         assert all(np.array_equal(a, b) for a, b in zip(r2, m2))
+
+
+def test_cluster_shares_one_frozen_schedule_per_shape():
+    bufs = rand_buffers(2, 9, seed=4)
+    with TcpCluster(2, timeout=20) as cluster:
+        for algorithm in ("ring", "hierarchical"):
+            _, sched = cluster.allreduce(bufs, algorithm=algorithm, k=2)
+            assert cluster.allreduce(bufs, algorithm=algorithm, k=2)[1] is sched
+            assert sched == (ring_schedule(2, 9, k=2) if algorithm == "ring"
+                             else hierarchical_schedule(Topology(2, 2), 9))
+            assert isinstance(sched.rounds, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sched.k = 1
+            with pytest.raises(ValueError, match="read-only"):
+                sched.rounds[0].transfers[0, 2] = 0
+            # an invalid group size is rejected before anything is sent
+            with pytest.raises(ValueError, match="group size"):
+                cluster.allreduce(bufs, algorithm=algorithm, k=3)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            cluster.allreduce(bufs, algorithm="tree")
+        wire, _ = cluster.allreduce(bufs)
+        assert np.array_equal(wire[0], ring_allreduce(bufs)[0][0])
 
 
 def test_single_worker_skips_sockets_entirely():
