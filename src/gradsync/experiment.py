@@ -298,12 +298,13 @@ def stepcount_table() -> dict:
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     cfg.validate()
     out_base = Path(out_root if out_root is not None else cfg.out_dir)
+    config_hash = cfg.config_hash()
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    run_dir = out_base / f"{stamp}-{cfg.config_hash()}"
+    run_dir = out_base / f"{stamp}-{config_hash}"
     suffix = 0
     while run_dir.exists():
         suffix += 1
-        run_dir = out_base / f"{stamp}-{cfg.config_hash()}-{suffix}"
+        run_dir = out_base / f"{stamp}-{config_hash}-{suffix}"
     run_dir.mkdir(parents=True)
 
     x, y = make_synthetic_dataset(cfg.samples, cfg.features, cfg.classes,
@@ -407,6 +408,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
                                  g.grad.astype(np.float64)))
                     for g in net.groups)))
                 applied = lars_step(net.groups, opt_cfg, step)
+                if applied and cfg.mixed:
+                    net.round_weights()
             if not applied:
                 skipped += 1
 
@@ -427,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     final = evaluate(net, x, y, mixed=cfg.mixed)
     report = {
         "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "steps_run": cfg.steps,
         "skipped_steps": skipped,
         "final_loss": final["loss"],
@@ -451,7 +454,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
         for rec in stats_records:
             fh.write(json.dumps(rec) + "\n")
     (run_dir / "config.json").write_text(
-        json.dumps({"config": cfg.to_dict(), "hash": cfg.config_hash()},
+        json.dumps({"config": cfg.to_dict(), "hash": config_hash},
                    indent=2) + "\n")
     (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report

@@ -1,14 +1,13 @@
 """Layer-wise adaptive rate scaling with float32 master weights.
 
-Each parameter group keeps a float32 master copy, a float32 velocity,
-and a uint16 half-precision working copy that is refreshed from the
-master after every applied step.  The local rate for a group is the
-norm quotient eta * ||w|| / (||g|| + epsilon), computed on float64
-accumulators so the quotient is stable to a few ulps; degenerate norms
-fall back to a local rate of 1.  Weight decay folds into the gradient
-before the norms are taken, so decayed groups see the regularizer in
-their trust ratio.  A step where any gradient is non-finite is
-rejected outright and mutates nothing.
+Each parameter group keeps a float32 master copy and a float32
+velocity.  The local rate for a group is the norm quotient
+eta * ||w|| / (||g|| + epsilon), computed on float64 accumulators so
+the quotient is stable to a few ulps; degenerate norms fall back to a
+local rate of 1.  Weight decay folds into the gradient before the
+norms are taken, so decayed groups see the regularizer in their trust
+ratio.  A step where any gradient is non-finite is rejected outright
+and mutates nothing.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .halfprec import f32_to_f16
 
 __all__ = ["KINDS", "Schedule", "LarsConfig", "ParamGroup", "make_param_group",
            "lars_local_lr", "lars_step", "zero_grads",
@@ -105,7 +102,6 @@ class ParamGroup:
     master_w: np.ndarray
     grad: np.ndarray
     velocity: np.ndarray
-    working_w16: np.ndarray
     decay_exempt: bool | None = None
     lars_enabled: bool | None = None
 
@@ -114,8 +110,7 @@ class ParamGroup:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for label, arr, want in (("master_w", self.master_w, np.float32),
                                  ("grad", self.grad, np.float32),
-                                 ("velocity", self.velocity, np.float32),
-                                 ("working_w16", self.working_w16, np.uint16)):
+                                 ("velocity", self.velocity, np.float32)):
             if not isinstance(arr, np.ndarray) or arr.dtype != want or arr.ndim != 1:
                 raise TypeError(f"{label} must be a 1-D {np.dtype(want).name} array")
             if arr.size != self.master_w.size:
@@ -141,7 +136,6 @@ def make_param_group(name: str, kind: str, values, **flags) -> ParamGroup:
         master_w=master,
         grad=np.zeros_like(master),
         velocity=np.zeros_like(master),
-        working_w16=f32_to_f16(master),
         **flags,
     )
 
@@ -184,7 +178,6 @@ def lars_step(groups: list[ParamGroup], cfg: LarsConfig, step: int) -> bool:
         scale = np.float32(local * gamma)
         group.velocity[:] = momentum * group.velocity + scale * effective
         group.master_w -= group.velocity
-        group.working_w16[:] = f32_to_f16(group.master_w)
     return True
 
 
@@ -193,10 +186,10 @@ def lars_step(groups: list[ParamGroup], cfg: LarsConfig, step: int) -> bool:
 #   magic b"LARS", u16 version, u64 step, u32 group count, then per group
 #   u16 name length + name bytes, u8 kind code, u8 flag bits
 #   (bit 0 decay_exempt, bit 1 lars_enabled), u64 element count,
-#   master float32s, velocity float32s, working uint16s.
+#   master float32s, velocity float32s.
 
 _MAGIC = b"LARS"
-_VERSION = 1
+_VERSION = 2
 _HEAD = struct.Struct("<4sHQI")
 _GROUP_HEAD = struct.Struct("<BBQ")
 
@@ -211,7 +204,6 @@ def save_checkpoint(path, groups: list[ParamGroup], step: int = 0) -> None:
             fh.write(_GROUP_HEAD.pack(KINDS.index(g.kind), flags, g.size))
             fh.write(g.master_w.astype("<f4", copy=False).tobytes())
             fh.write(g.velocity.astype("<f4", copy=False).tobytes())
-            fh.write(g.working_w16.astype("<u2", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[list[ParamGroup], int]:
@@ -241,14 +233,12 @@ def load_checkpoint(path) -> tuple[list[ParamGroup], int]:
             raise ValueError(f"bad kind code {kind_code} in {name!r}")
         master = np.frombuffer(take(4 * n), dtype="<f4").astype(np.float32)
         velocity = np.frombuffer(take(4 * n), dtype="<f4").astype(np.float32)
-        working = np.frombuffer(take(2 * n), dtype="<u2").astype(np.uint16)
         groups.append(ParamGroup(
             name=name,
             kind=KINDS[kind_code],
             master_w=master,
             grad=np.zeros(n, dtype=np.float32),
             velocity=velocity,
-            working_w16=working,
             decay_exempt=bool(flags & 1),
             lars_enabled=bool(flags & 2),
         ))

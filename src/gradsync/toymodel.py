@@ -1,23 +1,25 @@
 """A small dense network for exercising the optimizer end to end.
 
 Hidden blocks are dense -> optional batch norm -> relu; the head is a
-plain affine map.  Parameters live in flat optimizer groups (float32
-masters plus half-precision working copies), and the net reshapes
-views of them on use, so optimizer updates are visible immediately.
+plain affine map.  Parameters live in flat optimizer groups of float32
+masters, and the net keeps shaped views of them, so optimizer updates
+are visible immediately.
 
 In mixed mode every tensor crossing a layer boundary is rounded
-through half precision, and matrix products read the widened working
-copies instead of the masters.  Gradients pass through the rounding
-points unchanged (straight-through), so the backward pass stays the
-exact adjoint of the full-precision data flow.  Batch statistics and
-the loss itself always stay in float32.
+through half precision, and matrix products read the net's
+half-precision roundings of the masters.  The net rounds the masters
+once at construction, and in mixed mode once per applied optimizer
+step, when the training loop calls ``round_weights``.  Gradients pass
+through the rounding points unchanged (straight-through), so the
+backward pass stays the exact adjoint of the full-precision data flow.
+Batch statistics and the loss itself always stay in float32.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .halfprec import f16_to_f32, quantize_tensor
+from .halfprec import quantize_tensor
 from .lars import ParamGroup, make_param_group
 
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
@@ -46,7 +48,7 @@ class DenseNet:
         self.bn_momentum = np.float32(bn_momentum)
         self.groups: list[ParamGroup] = []
         self._by_name: dict[str, ParamGroup] = {}
-        self._shapes: dict[str, tuple] = {}
+        self._masters: dict[str, np.ndarray] = {}
         self.running: dict[int, list[np.ndarray]] = {}
 
         rng = np.random.default_rng(seed)
@@ -64,17 +66,21 @@ class DenseNet:
                                    np.ones(fan_out, np.float32)]
             else:
                 self._add(f"{prefix}.bias", "bias", np.zeros(fan_out))
+        self.round_weights()
 
     def _add(self, name: str, kind: str, values: np.ndarray) -> None:
         group = make_param_group(name, kind, values)
         self.groups.append(group)
         self._by_name[name] = group
-        self._shapes[name] = values.shape
+        self._masters[name] = group.master_w.reshape(values.shape)
+
+    def round_weights(self) -> None:
+        """Round every master through half precision into ``rounded``,
+        the weights mixed-mode passes read; call after the masters change."""
+        self.rounded = {name: quantize_tensor(w) for name, w in self._masters.items()}
 
     def _param(self, name: str, mixed: bool) -> np.ndarray:
-        group = self._by_name[name]
-        flat = f16_to_f32(group.working_w16) if mixed else group.master_w
-        return flat.reshape(self._shapes[name])
+        return self.rounded[name] if mixed else self._masters[name]
 
     @property
     def depth(self) -> int:

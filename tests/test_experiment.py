@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gradsync import collectives, experiment
+from gradsync import collectives, experiment, halfprec, toymodel
 from gradsync.collectives import choose_algorithm
 from gradsync.experiment import (
     ConfigError,
@@ -19,6 +22,7 @@ from gradsync.experiment import (
     run_experiment,
     stepcount_table,
 )
+from gradsync.halfprec import quantize_tensor
 
 
 def small_config(**kw):
@@ -245,6 +249,74 @@ def test_dynamic_scale_backs_off_then_recovers(tmp_path):
     first_ok = flags.index("0")
     assert first_ok >= 1
     assert all(f == "0" for f in flags[first_ok:])
+
+
+def test_mixed_run_rounds_weights_after_every_step(tmp_path, monkeypatch):
+    # the rounded weights every mixed pass reads are exactly the rounded
+    # masters, after applied steps and after skipped ones alike
+    states = []
+
+    def check(net):
+        masters = b"".join(g.master_w.tobytes() for g in net.groups)
+        rounded = b"".join(net.rounded[g.name].tobytes() for g in net.groups)
+        assert rounded == b"".join(quantize_tensor(g.master_w).tobytes()
+                                   for g in net.groups)
+        if not states or states[-1] != masters:
+            states.append(masters)
+
+    forward_backward = toymodel.DenseNet.forward_backward
+    evaluate = experiment.evaluate
+
+    def checked_pass(net, *args, **kwargs):
+        check(net)
+        return forward_backward(net, *args, **kwargs)
+
+    def checked_evaluate(net, *args, **kwargs):
+        check(net)
+        return evaluate(net, *args, **kwargs)
+
+    monkeypatch.setattr(toymodel.DenseNet, "forward_backward", checked_pass)
+    monkeypatch.setattr(experiment, "evaluate", checked_evaluate)
+    cfg = small_config(samples=64, batch_size=16, hidden=(12,), steps=8,
+                       loss_scale=2.0 ** 24, fusion_threshold=512)
+    assert cfg.mixed and cfg.scale_policy == "dynamic"
+    report = run_experiment(cfg, out_root=tmp_path)
+    assert 1 <= report["skipped_steps"] < report["steps_run"]
+    assert len(states) == 1 + report["steps_run"] - report["skipped_steps"]
+
+
+@pytest.mark.parametrize("steps", [1, 6])
+def test_fp32_run_narrows_weights_only_at_construction(tmp_path, monkeypatch, steps):
+    cfg = small_config(mixed=False, steps=steps)
+    groups = toymodel.DenseNet([cfg.features, *cfg.hidden, cfg.classes]).groups
+    calls = []
+    narrow = halfprec.f32_to_f16
+
+    def counted(values):
+        calls.append(np.size(values))
+        return narrow(values)
+
+    # every module-level reference, not only halfprec's own
+    for name, mod in list(sys.modules.items()):
+        if name == "gradsync" or name.startswith("gradsync."):
+            for attr, value in list(vars(mod).items()):
+                if value is narrow:
+                    monkeypatch.setattr(mod, attr, counted)
+    report = run_experiment(cfg, out_root=tmp_path)
+    assert report["skipped_steps"] == 0
+    assert len(calls) == len(groups)
+    assert sorted(calls) == sorted(g.size for g in groups)
+
+
+def test_run_dirs_share_one_stamp_and_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "20260101-000000")
+    cfg = small_config(steps=1)
+    reports = [run_experiment(cfg, out_root=tmp_path) for _ in range(3)]
+    base = f"20260101-000000-{cfg.config_hash()}"
+    assert [Path(r["run_dir"]).name for r in reports] == [base, f"{base}-1", f"{base}-2"]
+    for report in reports:
+        saved = json.loads((Path(report["run_dir"]) / "config.json").read_text())
+        assert saved["hash"] == report["config_hash"] == cfg.config_hash()
 
 
 def test_activation_stats_every_tenth_step(tmp_path):

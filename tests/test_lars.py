@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsync.halfprec import f16_to_f32, f32_to_f16
+from gradsync.halfprec import quantize_tensor
 from gradsync.lars import (
     KINDS,
     LarsConfig,
@@ -20,6 +20,7 @@ from gradsync.lars import (
     save_checkpoint,
     zero_grads,
 )
+from gradsync.toymodel import DenseNet
 
 
 def norm64_fsum(x):
@@ -133,17 +134,18 @@ def test_param_group_validation():
     with pytest.raises(ValueError, match="kind"):
         make_param_group("x", "conv", ok)
     with pytest.raises(TypeError, match="grad"):
-        ParamGroup("x", "weight", ok, ok.astype(np.float64), ok.copy(),
-                   np.zeros(3, np.uint16))
+        ParamGroup("x", "weight", ok, ok.astype(np.float64), ok.copy())
     with pytest.raises(ValueError, match="velocity"):
-        ParamGroup("x", "weight", ok, ok.copy(), np.zeros(5, np.float32),
-                   np.zeros(3, np.uint16))
+        ParamGroup("x", "weight", ok, ok.copy(), np.zeros(5, np.float32))
 
 
 def test_working_copy_tracks_master():
     vals = np.array([0.1, 1.0, -65504.0, 3.14159], dtype=np.float32)
-    g = make_param_group("w", "weight", vals)
-    assert np.array_equal(g.working_w16, f32_to_f16(vals))
+    net = DenseNet([1, 4], seed=0)
+    net.groups[0].master_w[:] = vals
+    net.round_weights()
+    assert net.groups[0].name == "head.weight"
+    assert np.array_equal(net.rounded["head.weight"], quantize_tensor(vals)[None, :])
 
 
 def test_two_step_momentum_reference():
@@ -177,7 +179,6 @@ def test_two_step_momentum_reference():
 
     assert np.array_equal(group.velocity, v2)
     assert np.array_equal(group.master_w, w2)
-    assert np.array_equal(group.working_w16, f32_to_f16(w2))
 
 
 def test_disabled_lars_uses_unit_local_rate():
@@ -198,14 +199,13 @@ def test_rejects_nonfinite_without_mutation():
     b = make_param_group("b", "bias", np.ones(4))
     a.grad[:] = 0.5
     b.grad[:] = [0.1, np.nan, 0.1, 0.1]
-    before = (a.master_w.copy(), a.velocity.copy(), a.working_w16.copy(),
+    before = (a.master_w.copy(), a.velocity.copy(),
               b.master_w.copy(), b.velocity.copy())
     assert lars_step([a, b], cfg, step=0) is False
     assert np.array_equal(a.master_w, before[0])
     assert np.array_equal(a.velocity, before[1])
-    assert np.array_equal(a.working_w16, before[2])
-    assert np.array_equal(b.master_w, before[3])
-    assert np.array_equal(b.velocity, before[4])
+    assert np.array_equal(b.master_w, before[2])
+    assert np.array_equal(b.velocity, before[3])
 
     b.grad[:] = [0.1, np.inf, 0.1, 0.1]
     assert lars_step([a, b], cfg, step=0) is False
@@ -243,10 +243,10 @@ def test_master_accumulation_survives_tiny_updates():
         half_only.grad[:] = 1e-8
         assert lars_step([with_master], cfg, step)
         assert lars_step([half_only], cfg, step)
-        half_only.master_w[:] = f16_to_f32(f32_to_f16(half_only.master_w))
+        half_only.master_w[:] = quantize_tensor(half_only.master_w)
     assert np.all(with_master.master_w < 1.0 - 5e-6)
     assert np.all(half_only.master_w == 1.0)
-    assert np.all(f16_to_f32(with_master.working_w16) == 1.0)
+    assert np.all(quantize_tensor(with_master.master_w) == 1.0)
 
 
 def test_zero_grads():
@@ -280,7 +280,6 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
         assert back.lars_enabled == orig.lars_enabled
         assert np.array_equal(back.master_w, orig.master_w)
         assert np.array_equal(back.velocity, orig.velocity)
-        assert np.array_equal(back.working_w16, orig.working_w16)
 
     # resuming from the file must track the uninterrupted run bitwise
     nxt = rng.standard_normal(40).astype(np.float32)
@@ -302,6 +301,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(versioned)
 
+    # a well-formed version-1 file, which also stored binary16 working
+    # weights after the velocity, is no longer read
+    old = tmp_path / "v1.bin"
+    old.write_bytes(_s.pack("<4sHQI", b"LARS", 1, 5, 1)
+                    + _s.pack("<H", 1) + b"w" + _s.pack("<BBQ", 0, 2, 2)
+                    + np.ones(2, "<f4").tobytes() + np.zeros(2, "<f4").tobytes()
+                    + np.full(2, 0x3C00, "<u2").tobytes())
+    with pytest.raises(ValueError, match="version 1"):
+        load_checkpoint(old)
+
 
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     groups = [make_param_group("fc1.w", "weight", np.arange(3.0)),
@@ -320,3 +329,32 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     cut.write_bytes(data)
     loaded, step = load_checkpoint(cut)
     assert step == 7 and [g.name for g in loaded] == ["fc1.w", "fc1.b"]
+
+
+def _valid_checkpoint(path) -> bytes:
+    groups = [make_param_group("fc1.w", "weight", np.arange(3.0)),
+              make_param_group("bn.gamma", "bn_gamma", np.ones(2))]
+    save_checkpoint(path, groups, step=4)
+    return path.read_bytes()
+
+
+@given(st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda tail: b"LARS\x02\x00" + tail),
+    st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_checkpoint_decoder_loads_or_raises_value_error(tmp_path_factory, case):
+    path = tmp_path_factory.getbasetemp() / "fuzz.lars"
+    if isinstance(case, tuple):
+        data = bytearray(_valid_checkpoint(path))
+        pos, value = case
+        data[pos % len(data)] = value
+        case = bytes(data)
+    path.write_bytes(case)
+    try:
+        groups, step = load_checkpoint(path)
+    except ValueError:
+        return
+    assert isinstance(step, int)
+    assert all(isinstance(g, ParamGroup) for g in groups)

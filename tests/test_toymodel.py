@@ -17,7 +17,7 @@ from gradsync.toymodel import DenseNet, evaluate, make_synthetic_dataset
 
 def extract_params(net):
     return {
-        g.name: g.master_w.astype(np.float64).reshape(net._shapes[g.name])
+        g.name: net._masters[g.name].astype(np.float64)
         for g in net.groups
     }
 
@@ -168,8 +168,7 @@ def test_mixed_mode_exact_on_half_grid():
     net._by_name["head.weight"].master_w[:] = np.array(
         [[0.25, 0.0], [0.0, 2.0]], np.float32).reshape(-1)
     net._by_name["head.bias"].master_w[:] = 0.0
-    for g in net.groups:
-        g.working_w16[:] = f32_to_f16(g.master_w)
+    net.round_weights()
     x = np.array([[1.0, 2.0]], dtype=np.float32)
     assert np.array_equal(net.predict(x, mixed=True), net.predict(x, mixed=False))
 
@@ -178,7 +177,7 @@ def test_mixed_mode_reads_working_copies():
     net = DenseNet([2, 2], seed=0)
     w = net._by_name["head.weight"]
     w.master_w[:] = 0.1  # not representable in half precision
-    w.working_w16[:] = f32_to_f16(w.master_w)
+    net.round_weights()
     x = np.array([[1.0, 0.0]], dtype=np.float32)
     full = net.predict(x)
     mixed = net.predict(x, mixed=True)
