@@ -6,6 +6,11 @@ goes through float32 and rounds to nearest-even, overflows to signed
 infinity, flushes magnitudes below 2**-25 to signed zero, and
 canonicalizes every NaN to one quiet pattern; widening is exact and
 canonicalizes every NaN to one quiet float32 pattern.
+
+The round trip that mixed-precision passes use, ``quantize_tensor``,
+never materialises the binary16 patterns: it rounds in float32
+arithmetic, bit-identical to narrowing then widening, which assumes the
+default round-to-nearest-even floating-point mode.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ FLUSH_BOUND = 2.0 ** -25
 MAX_FINITE = 65504.0
 #: Every NaN narrows to this single quiet pattern.
 CANONICAL_NAN = np.uint16(0x7E00)
+
+_EXPONENT = np.uint32(0x7F800000)
+# binary16's exponent range: binade 2**e has ulp 2**(max(e, -14) - 10)
+_MIN_EXP, _MAX_EXP = np.float32(2.0 ** -14), np.float32(2.0 ** 15)
+# For |a| < 2**(e + 1), a + 1.5 * 2**(e + 13) stays in the float32 binade
+# of ulp 2**(e - 10), of which the addend is an even multiple, so adding
+# and subtracting it rounds a to that ulp, ties to even
+_MAGIC = np.float32(1.5 * 2.0 ** 13)
+# scaling up and back is exact below 2**16 and overflows from there on
+_UP, _DOWN = np.float32(2.0 ** 112), np.float32(2.0 ** -112)
 
 
 def f32_to_f16(values) -> np.ndarray | np.uint16:
@@ -74,8 +89,40 @@ def f16_to_f32(bits) -> np.ndarray | np.float32:
 
 
 def quantize_tensor(values) -> np.ndarray | np.float32:
-    """Round-trip float32 data through binary16 (narrow, then widen)."""
-    return f16_to_f32(f32_to_f16(values))
+    """Round float32 values to the nearest binary16 value, kept as float32.
+
+    Bit-identical to ``f16_to_f32(f32_to_f16(values))``, but computed in
+    float32 arithmetic without materialising the binary16 patterns; this
+    assumes the default round-to-nearest-even mode.  Anything not already
+    float32 is cast to float32 first, a scalar input gives a numpy float32
+    scalar, and the input is never written to.
+    """
+    a = np.asarray(values, dtype=np.float32)
+    scalar = a.ndim == 0
+    if scalar:  # 0-d arithmetic would give scalars, which take no ``out=``
+        a = a.reshape(1)
+    # 2**floor(log2|a|) for normal a, 0 for subnormal a, inf for inf and NaN
+    c = np.bitwise_and(a.view(np.uint32), _EXPONENT).view(np.float32)
+    # an |a| of 2**15 or more may round to inf, and an inf or a NaN must
+    # pass through; only then are the overflow and NaN steps needed
+    wide = a.size and np.maximum.reduce(c, axis=None) >= _MAX_EXP
+    np.maximum(c, _MIN_EXP, out=c)
+    if wide:
+        np.minimum(c, _MAX_EXP, out=c)
+    c *= _MAGIC
+    if wide:  # signalling NaNs raise invalid, and 2**16 and up overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = a + c
+            r -= c
+            r *= _UP
+            r *= _DOWN
+    else:
+        r = a + c
+        r -= c
+    np.copysign(r, a, out=r)  # a zero keeps the sign of a
+    if wide:
+        np.copyto(r, np.float32(np.nan), where=np.isnan(r))
+    return r[0] if scalar else r
 
 
 _CATEGORIES = ("zero", "subnormal", "normal", "inf", "nan")

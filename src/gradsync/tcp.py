@@ -67,6 +67,9 @@ _HEAD = struct.Struct("<IB")  # length and tag
 # Cap on a control record's payload; the largest real one, the peer
 # table, is ~14 KB at p = 1024.
 _MAX_JSON = 1 << 20
+# Largest single read, so that a frame's length field never sizes an
+# allocation before its bytes have arrived.
+_MAX_RECV = 1 << 20
 HOST = "127.0.0.1"
 
 
@@ -90,7 +93,8 @@ def _nodelay(sock: socket.socket) -> socket.socket:
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
-        part = sock.recv(n - len(buf))
+        # each recv reserves its whole size, and n comes off the wire
+        part = sock.recv(min(n - len(buf), _MAX_RECV))
         if not part:
             raise ConnectionError("peer closed the connection")
         buf.extend(part)
@@ -123,7 +127,7 @@ def recv_json(sock: socket.socket) -> dict:
         raise ConnectionError(f"expected control frame, got tag {tag}")
     try:
         return json.loads(payload.decode())
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise ConnectionError(f"undecodable control frame: {exc}") from exc
 
 

@@ -7,12 +7,14 @@ are visible immediately.
 
 In mixed mode every tensor crossing a layer boundary is rounded
 through half precision, and matrix products read the net's
-half-precision roundings of the masters.  The net rounds the masters
-once at construction, and in mixed mode once per applied optimizer
-step, when the training loop calls ``round_weights``.  Gradients pass
-through the rounding points unchanged (straight-through), so the
-backward pass stays the exact adjoint of the full-precision data flow.
-Batch statistics and the loss itself always stay in float32.
+half-precision roundings of the masters.  ReLU outputs are not rounded
+again: their inputs are already on the half-precision grid, and so is
+zero.  The net rounds the masters once at construction, and in mixed
+mode once per applied optimizer step, when the training loop calls
+``round_weights``.  Gradients pass through the rounding points
+unchanged (straight-through), so the backward pass stays the exact
+adjoint of the full-precision data flow.  Batch statistics and the loss
+itself always stay in float32.
 """
 
 from __future__ import annotations
@@ -77,7 +79,11 @@ class DenseNet:
     def round_weights(self) -> None:
         """Round every master through half precision into ``rounded``,
         the weights mixed-mode passes read; call after the masters change."""
-        self.rounded = {name: quantize_tensor(w) for name, w in self._masters.items()}
+        flat = quantize_tensor(np.concatenate(list(self._masters.values()), axis=None))
+        self.rounded, start = {}, 0
+        for name, w in self._masters.items():
+            self.rounded[name] = flat[start:start + w.size].reshape(w.shape)
+            start += w.size
 
     def _param(self, name: str, mixed: bool) -> np.ndarray:
         return self.rounded[name] if mixed else self._masters[name]
@@ -133,7 +139,7 @@ class DenseNet:
                 pre = _quantize(z + bias, mixed)
                 xhat = invstd = gamma = None
             mask = pre > 0
-            out = _quantize(np.where(mask, pre, np.float32(0.0)), mixed)
+            out = np.where(mask, pre, np.float32(0.0))
             cache.append((a, W, xhat, invstd, gamma, mask))
             a = out
             if collect_stats is not None:
@@ -188,8 +194,10 @@ class DenseNet:
                 xhat = (z - rm) / np.sqrt(rv + self.bn_eps)
                 pre = _quantize(gamma * xhat + beta, mixed)
             else:
-                pre = _quantize(z + self._param(f"layer{i}.bias", mixed), mixed)
-            a = _quantize(np.maximum(pre, np.float32(0.0)), mixed)
+                # in place: evaluation batches are the largest tensors a run holds
+                z += self._param(f"layer{i}.bias", mixed)
+                pre = _quantize(z, mixed)
+            a = np.maximum(pre, np.float32(0.0), out=pre)
         return _quantize(a @ self._param("head.weight", mixed)
                          + self._param("head.bias", mixed), mixed)
 

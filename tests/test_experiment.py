@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -286,26 +285,16 @@ def test_mixed_run_rounds_weights_after_every_step(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("steps", [1, 6])
-def test_fp32_run_narrows_weights_only_at_construction(tmp_path, monkeypatch, steps):
+def test_fp32_run_rounds_weights_once_at_construction(tmp_path, count_calls, steps):
+    # one rounding of all masters at once, none after the steps, and the
+    # rounding never goes through the binary16 patterns
     cfg = small_config(mixed=False, steps=steps)
     groups = toymodel.DenseNet([cfg.features, *cfg.hidden, cfg.classes]).groups
-    calls = []
-    narrow = halfprec.f32_to_f16
-
-    def counted(values):
-        calls.append(np.size(values))
-        return narrow(values)
-
-    # every module-level reference, not only halfprec's own
-    for name, mod in list(sys.modules.items()):
-        if name == "gradsync" or name.startswith("gradsync."):
-            for attr, value in list(vars(mod).items()):
-                if value is narrow:
-                    monkeypatch.setattr(mod, attr, counted)
+    calls = count_calls(halfprec.quantize_tensor, halfprec.f32_to_f16)
     report = run_experiment(cfg, out_root=tmp_path)
     assert report["skipped_steps"] == 0
-    assert len(calls) == len(groups)
-    assert sorted(calls) == sorted(g.size for g in groups)
+    assert calls == {"quantize_tensor": [sum(g.size for g in groups)],
+                     "f32_to_f16": []}
 
 
 def test_run_dirs_share_one_stamp_and_hash(tmp_path, monkeypatch):

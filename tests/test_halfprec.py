@@ -5,7 +5,10 @@ are checked against references that do not use that cast: frozen
 boundary patterns, an exact rational-arithmetic narrowing oracle sampled
 at every float32 exponent field, and a field-arithmetic widening oracle
 built from ``math.ldexp`` over all 65536 patterns.  The bulk comparisons
-with numpy's own cast stay as well.
+with numpy's own cast stay as well.  ``quantize_tensor`` rounds in float32
+arithmetic instead, so it is checked bit for bit against the cast round
+trip on every exponent field, every binary16 tie and its neighbours, the
+overflow, flush and NaN edges, and random patterns.
 """
 
 import math
@@ -248,6 +251,94 @@ def test_quantize_tensor_shape_and_dtype():
     q = hp.quantize_tensor(x)
     assert q.shape == (3, 4) and q.dtype == np.float32
     assert np.all(q == np.float32(0.0999755859375))  # 0x2E66 widened
+
+
+def cast_round_trip(x):
+    return hp.f16_to_f32(hp.f32_to_f16(x))
+
+
+def assert_rounds_like_cast(x):
+    """quantize_tensor(x) is the cast round trip bit for bit, on x as a
+    whole and on its elements below 2**15 alone, which are rounded
+    without the overflow and NaN steps."""
+    x = np.asarray(x, dtype=np.float32)
+    small = x[(x.view(np.uint32) & np.uint32(0x7FFFFFFF)) < np.uint32(0x47000000)]
+    assert small.size
+    for part in (x, small):
+        got = hp.quantize_tensor(part)
+        assert got.dtype == np.float32 and got.shape == part.shape
+        assert np.array_equal(got.view(np.uint32), cast_round_trip(part).view(np.uint32))
+
+
+def test_quantize_every_exponent_field():
+    mans = np.array([0, 1, 0xFFF, 0x1000, 0x1001, 0x2000, 0x7FFFFF], dtype=np.uint32)
+    pos = (np.arange(256, dtype=np.uint32)[:, None] << 23 | mans).reshape(-1)
+    assert_rounds_like_cast(np.concatenate([pos, pos | np.uint32(0x80000000)])
+                            .view(np.float32))
+
+
+def test_quantize_every_binary16_tie_and_its_neighbours():
+    # the exact midpoint of each pair of adjacent finite binary16 values,
+    # and one float32 ulp either side of it
+    allbits = np.arange(65536, dtype=np.uint16)
+    values = np.unique(hp.f16_to_f32(allbits[((allbits >> 10) & 0x1F) != 31]))
+    mids = ((values[:-1].astype(np.float64) + values[1:]) / 2).astype(np.float32)
+    assert np.array_equal(mids.astype(np.float64) * 2,
+                          values[:-1].astype(np.float64) + values[1:])  # exact
+    inf = np.float32(np.inf)
+    assert_rounds_like_cast(np.concatenate([
+        mids, np.nextafter(mids, -inf), np.nextafter(mids, inf)]))
+
+
+EDGES = [0.0, 65504.0, 65519.99609375, 65520.0, 2.0**-25, 1.5 * 2.0**-25, np.inf]
+
+
+def test_quantize_edges():
+    payload_nan = np.array([0x7FA12345], dtype=np.uint32).view(np.float32)[0]
+    negative_nan = np.array([0xFFC00000], dtype=np.uint32).view(np.float32)[0]
+    edges = np.array(EDGES + [-v for v in EDGES] + [payload_nan, negative_nan],
+                     dtype=np.float32)
+    assert_rounds_like_cast(edges)
+    for v in edges:  # and each on its own, which picks its own path
+        got = hp.quantize_tensor(v)
+        assert got.view(np.uint32) == cast_round_trip(v).view(np.uint32)
+    expect = [0x00000000, 0x477FE000, 0x477FE000, 0x7F800000, 0x00000000,
+              0x33800000, 0x7F800000]
+    assert [int(hp.quantize_tensor(v).view(np.uint32)) for v in EDGES] == expect
+    assert [int(hp.quantize_tensor(-v).view(np.uint32)) for v in EDGES] == [
+        b | 0x80000000 for b in expect]
+    assert int(hp.quantize_tensor(payload_nan).view(np.uint32)) == 0x7FC00000
+    assert int(hp.quantize_tensor(negative_nan).view(np.uint32)) == 0x7FC00000
+
+
+def test_quantize_random_patterns():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 1 << 32, size=1 << 20, dtype=np.uint64).astype(np.uint32)
+    assert_rounds_like_cast(bits.view(np.float32))
+
+
+def test_quantize_scalars_and_float64():
+    for value in (np.float32(0.1), 0.1, -3e-8, 65520.0, math.nan):
+        got = hp.quantize_tensor(value)
+        assert type(got) is np.float32
+        assert got.view(np.uint32) == cast_round_trip(value).view(np.uint32)
+    got = hp.quantize_tensor(np.array(-(2.0**-26), dtype=np.float32))
+    assert type(got) is np.float32 and got.view(np.uint32) == 0x80000000
+    # float64 input is rounded to float32 first, as the cast is: the
+    # 2**-40 is gone before the binary16 tie goes to even
+    assert hp.quantize_tensor(1 + 2**-11 + 2**-40) == np.float32(1.0)
+    assert hp.quantize_tensor(np.array([1 + 2**-11 + 2**-40]))[0] == np.float32(1.0)
+
+
+def test_quantize_leaves_its_input_alone():
+    x = np.array([0.1, -0.0, 1e-30, 65520.0, np.inf, np.nan, -7.3], dtype=np.float32)
+    for part in (x, x[[0, 2, 6]]):
+        before = part.copy()
+        got = hp.quantize_tensor(part)
+        assert np.array_equal(part.view(np.uint32), before.view(np.uint32))
+        assert not np.shares_memory(got, part)
+        got[...] = 5.0
+        assert np.array_equal(part.view(np.uint32), before.view(np.uint32))
 
 
 def test_describe_half():

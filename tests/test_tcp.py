@@ -1,6 +1,7 @@
 """Loopback transport tests: framing, rendezvous, and wire-vs-memory equality."""
 
 import dataclasses
+import json
 import socket
 import sys
 import threading
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gradsync import tcp
 from gradsync.collectives import (
@@ -191,6 +193,79 @@ def test_recv_array_into_rejects_wrong_frames(tag, payload):
     finally:
         a.close()
         b.close()
+
+
+_TAGS = st.one_of(st.sampled_from([tcp.TAG_F32, tcp.TAG_U16, tcp.TAG_JSON]),
+                  st.integers(0, 255))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+# raw bytes; a frame header with any length and tag before raw bytes; and
+# frames whose length is right, with raw or JSON payloads
+_WIRE = st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda length, tag, body: tcp._HEAD.pack(length, tag) + body,
+              st.one_of(st.integers(0, 48), st.integers(0, 2**32 - 1)),
+              _TAGS, st.binary(max_size=40)),
+    st.builds(lambda tag, body: tcp._HEAD.pack(1 + len(body), tag) + body,
+              _TAGS, st.binary(max_size=40)),
+    st.builds(lambda doc: tcp._HEAD.pack(1 + len(doc), tcp.TAG_JSON) + doc,
+              _JSON.map(lambda d: json.dumps(d).encode())),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(wire=_WIRE, decoder=st.sampled_from(["frame", "json", "array", "into"]),
+       n_out=st.integers(0, 3))
+@example(wire=tcp._HEAD.pack(200_001, tcp.TAG_JSON) + b"[" * 200_000,
+         decoder="json", n_out=0)  # nested past the recursion limit
+@example(wire=tcp._HEAD.pack(2**32 - 1, tcp.TAG_F32), decoder="array", n_out=0)
+def test_frame_decoders_return_or_raise_connection_error(wire, decoder, n_out):
+    # whatever a peer sends before it hangs up, each decoder returns a
+    # value or raises ConnectionError, and never waits for more bytes
+    a, b = socket.socketpair()
+    try:
+        a.settimeout(5)
+        b.settimeout(5)
+
+        def send():
+            a.sendall(wire)
+            a.shutdown(socket.SHUT_WR)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        out = np.zeros(n_out, dtype=np.float32)
+        read = {"frame": tcp.recv_frame, "json": tcp.recv_json,
+                "array": tcp.recv_array,
+                "into": lambda sock: tcp.recv_array_into(sock, out)}[decoder]
+        with pytest.raises(ConnectionError):
+            while True:  # every frame in the bytes, then the hang-up
+                read(b)
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_length_field_does_not_size_the_reads():
+    # a frame announcing 4 GiB that then ends: no recv asks for more
+    # than 1 MiB, since recv reserves what it is asked for
+    class Wire:
+        def __init__(self, data):
+            self.data, self.asked = data, []
+
+        def recv(self, n):
+            self.asked.append(n)
+            part, self.data = self.data[:n], self.data[n:]
+            return part
+
+    wire = Wire(tcp._HEAD.pack(2**32 - 1, tcp.TAG_F32) + b"\x00" * 10)
+    with pytest.raises(ConnectionError, match="closed"):
+        tcp.recv_array(wire)
+    assert max(wire.asked) <= 1 << 20
 
 
 def _plan_traffic(plans, i):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gradsync.halfprec import f16_to_f32, f32_to_f16, unscale_gradients
+from gradsync import halfprec
+from gradsync.halfprec import f16_to_f32, f32_to_f16, quantize_tensor, unscale_gradients
 from gradsync.lars import LarsConfig, Schedule, lars_step
 from gradsync.toymodel import DenseNet, evaluate, make_synthetic_dataset
 
@@ -183,6 +184,48 @@ def test_mixed_mode_reads_working_copies():
     mixed = net.predict(x, mixed=True)
     assert not np.array_equal(full, mixed)
     assert np.array_equal(mixed[0, 0], f16_to_f32(f32_to_f16(np.float32(0.1))))
+
+
+def test_relu_of_rounded_values_stays_rounded():
+    # why the mixed passes do not round ReLU outputs: for p on the
+    # binary16 grid (canonical NaNs included), both ReLU forms are fixed
+    # points of the rounding
+    rng = np.random.default_rng(21)
+    specials = np.array([
+        np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0**-24, -(2.0**-24),
+        2.0**-25, -(1.5 * 2.0**-25), 3 * 2.0**-20, -(2.0**-14), 1e-40, -1e-40,
+        65504.0, -65504.0, 65519.0, 65520.0, -70000.0, 1e30, -1e38,
+    ], dtype=np.float32)
+    payloads = np.array([0x7FC12345, 0xFFA00001, 0x7F800001],
+                        dtype=np.uint32).view(np.float32)
+    noise = (rng.standard_normal(4096)
+             * 10.0 ** rng.integers(-9, 6, size=4096)).astype(np.float32)
+    p = quantize_tensor(np.concatenate([specials, payloads, noise]))
+    with np.errstate(invalid="ignore"):  # as in the passes themselves
+        relus = (np.where(p > 0, p, np.float32(0.0)), np.maximum(p, np.float32(0.0)))
+    assert not np.isnan(relus[0]).any() and np.isnan(relus[1]).any()
+    for relu in relus:
+        assert np.array_equal(quantize_tensor(relu).view(np.uint32),
+                              relu.view(np.uint32))
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_mixed_passes_round_each_relu_input_once(count_calls, use_bn, hidden):
+    net = DenseNet([6, *[5] * hidden, 3], use_bn=use_bn, seed=1)
+    x, y = make_synthetic_dataset(8, 6, 3, seed=2)
+    calls = count_calls(halfprec.quantize_tensor)["quantize_tensor"]
+    net.forward_backward(x, y, mixed=True)
+    # the input; z and the affine output of each hidden layer; the
+    # logits; dlogits; d @ W.T back through the head and through every
+    # hidden layer but the first.  Rounding each ReLU output as well made
+    # 4 * hidden + 3.
+    assert len(calls) == 3 * hidden + 3
+    calls.clear()
+    net.predict(x, mixed=True)
+    # the input; z and the affine output of each hidden layer; the
+    # logits.  Rounding each ReLU output as well made 3 * hidden + 2.
+    assert len(calls) == 2 * hidden + 2
 
 
 def test_loss_scale_multiplies_grads_exactly():
