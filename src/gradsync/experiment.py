@@ -1,15 +1,16 @@
 """Deterministic data-parallel training runs with modeled communication.
 
-A run shards each batch across simulated workers and lays worker w's
-gradients into row w of one (workers x elements) matrix per step.  The
-fusion buckets are column slices of that matrix, planned once per run
-from the parameter layout and the threshold; each bucket is all-reduced
-with its size-based algorithm choice, and the shared optimizer step is
-applied to one replica.  Communication time comes from the alpha-beta cost
-model, never the wall clock, so two runs with the same seed produce
-byte-identical metrics files.  Artifacts land in a fresh directory per
-run: metrics.csv, fusion_trace.jsonl, activations.jsonl, config.json,
-and report.json.
+A run shards each batch across simulated workers and copies worker w's
+flat gradient vector, ``net.grad``, into row w of one (workers x
+elements) matrix per step.  The fusion buckets are column slices of that
+matrix, planned once per run from the parameter layout and the
+threshold; each bucket is all-reduced with its size-based algorithm
+choice, its mean lands straight back in ``net.grad``, and the shared
+optimizer step is applied to one replica.  Communication time comes from
+the alpha-beta cost model, never the wall clock, so two runs with the
+same seed produce byte-identical metrics files.  Artifacts land in a
+fresh directory per run: metrics.csv, fusion_trace.jsonl,
+activations.jsonl, config.json, and report.json.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
 
 import numpy as np
@@ -299,13 +300,16 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     cfg.validate()
     out_base = Path(out_root if out_root is not None else cfg.out_dir)
     config_hash = cfg.config_hash()
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    run_dir = out_base / f"{stamp}-{config_hash}"
-    suffix = 0
-    while run_dir.exists():
-        suffix += 1
-        run_dir = out_base / f"{stamp}-{config_hash}-{suffix}"
-    run_dir.mkdir(parents=True)
+    name = f"{time.strftime('%Y%m%d-%H%M%S', time.gmtime())}-{config_hash}"
+    out_base.mkdir(parents=True, exist_ok=True)
+    # mkdir is the claim, so two runs racing for one name never both get it
+    for suffix in count():
+        run_dir = out_base / (f"{name}-{suffix}" if suffix else name)
+        try:
+            run_dir.mkdir()
+            break
+        except FileExistsError:
+            pass
 
     x, y = make_synthetic_dataset(cfg.samples, cfg.features, cfg.classes,
                                   seed=cfg.seed)
@@ -337,7 +341,6 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     bounds = list(accumulate((batch.payload.size for batch in planned), initial=0))
     algorithms = [choose_algorithm(batch.nbytes, cfg.hybrid_eta) for batch in planned]
     step_algos = "+".join(sorted(set(algorithms)))
-    offsets = list(accumulate((g.grad.size for g in net.groups), initial=0))
 
     cluster = None
     if cfg.transport == "tcp" and cfg.workers > 1:
@@ -363,16 +366,15 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
             collect = stats_records if step % 10 == 0 else None
             # A fresh matrix every step: the all-reduce inputs are views of it,
             # and a caller that wraps the all-reduce may keep them.
-            grads = np.empty((cfg.workers, offsets[-1]), dtype=np.float32)
+            grads = np.empty((cfg.workers, net.grad.size), dtype=np.float32)
             for w in range(cfg.workers):
                 sl = slice(w * shard_len, (w + 1) * shard_len)
                 loss = net.forward_backward(
                     bx[sl], by[sl], mixed=cfg.mixed, loss_scale=step_scale,
                     collect_stats=collect if w == 0 else None, stats_step=step)
                 shard_losses.append(loss)
-                np.concatenate([g.grad for g in net.groups], out=grads[w])
+                grads[w] = net.grad
 
-            reduced = np.empty(offsets[-1], dtype=np.float32)
             for b, (lo, hi, algorithm) in enumerate(
                     zip(bounds, bounds[1:], algorithms)):
                 rows = list(grads[:, lo:hi])
@@ -387,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
                             rows, topo, op="mean")
                     else:
                         results, schedule = ring_allreduce(rows, topo, op="mean")
-                reduced[lo:hi] = results[0]
+                net.grad[lo:hi] = results[0]
                 if step == 0:
                     costs.append(simulate(schedule, link))
                 trace_records.append(trace_record(step, b, planned[b]))
@@ -396,13 +398,10 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
             comm_total += step_comm
             wire_total += step_wire
 
-            for g, lo, hi in zip(net.groups, offsets, offsets[1:]):
-                g.grad[:] = reduced[lo:hi]
-            applied = scale.update([g.grad for g in net.groups])
+            applied = scale.update(net.grad)
             grad_norm = 0.0
             if applied:
-                for g in net.groups:
-                    g.grad[:] = unscale_gradients(g.grad, step_scale)
+                net.grad[:] = unscale_gradients(net.grad, step_scale)
                 grad_norm = float(np.sqrt(sum(
                     float(np.dot(g.grad.astype(np.float64),
                                  g.grad.astype(np.float64)))

@@ -51,10 +51,6 @@ class FusionBuffer:
     def pending_bytes(self) -> int:
         return self._pending_bytes
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def enqueue(self, tensor_id: str, tensor: np.ndarray) -> FusedBatch | None:
         """Add one tensor; returns a batch when the threshold is crossed.
 

@@ -48,14 +48,12 @@ import numpy as np
 
 from .collectives import (
     ReduceSchedule,
-    Topology,
     _schedule,
     chunk_sizes,
     fold_ascending,
 )
 
-__all__ = ["CollectiveAbort", "TcpCluster", "run_over_tcp",
-           "run_coordinator", "run_worker",
+__all__ = ["CollectiveAbort", "TcpCluster", "run_coordinator", "run_worker",
            "TAG_F32", "TAG_U16", "TAG_JSON"]
 
 TAG_F32 = 0
@@ -294,11 +292,41 @@ def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
     return out
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false are not ranks or sizes
+
+
+def _parse_go(go, rank: int) -> tuple[int, dict[int, int]] | None:
+    """The mesh size and the peer ports from a coordinator's ``go``
+    record, or None if the record is malformed: p must exceed this rank,
+    and the peer table must map integer ranks to ports, every lower rank
+    included."""
+    if (not isinstance(go, dict) or not _is_int(go.get("p")) or go["p"] <= rank
+            or not isinstance(go.get("peers"), dict)):
+        return None
+    try:
+        ports = {int(r): port for r, port in go["peers"].items()}
+    except ValueError:
+        return None
+    ok = (all(_is_int(port) and 0 < port < 1 << 16 for port in ports.values())
+          and all(r in ports for r in range(rank)))
+    return (go["p"], ports) if ok else None
+
+
+def _plan_ok(plan, p: int) -> bool:
+    """A plan config this worker's mesh of p >= 2 workers can run."""
+    return (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p
+            and p >= 2 and plan.get("algorithm") in ("ring", "hierarchical")
+            and _is_int(plan.get("k")) and plan["k"] >= 1 and p % plan["k"] == 0
+            and plan.get("op") in ("sum", "mean"))
+
+
 def run_worker(coord_host: str, coord_port: int, rank: int,
                die_at_step: int | None = None, timeout: float = 30.0) -> int:
     """Worker entry: rendezvous, run collectives until told to stop.
 
-    Returns a process exit code (0 ok, 3 abort).
+    Returns a process exit code: 0 ok, 3 on an abort, a socket failure
+    or a malformed coordinator or peer record.
     """
     listener = socket.create_server((HOST, 0), backlog=64)
     listener.settimeout(timeout)
@@ -310,11 +338,10 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     sender: _Sender | None = None
     try:
         send_json(coord, {"hello": rank, "listen_port": listener.getsockname()[1]})
-        go = recv_json(coord)
-        if "error" in go:
+        mesh = _parse_go(recv_json(coord), rank)
+        if mesh is None:  # a rendezvous error record lands here too
             return 3
-        peer_ports = {int(r): port for r, port in go["peers"].items()}
-        p = go["p"]
+        p, peer_ports = mesh
 
         # higher ranks dial, lower ranks accept: one socket per pair
         for other in range(rank):
@@ -326,16 +353,25 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
         for _ in range(p - 1 - rank):
             s, _ = listener.accept()
             _nodelay(s).settimeout(timeout)
-            peers[recv_json(s)["rank"]] = s
+            hello = recv_json(s)
+            other = hello.get("rank") if isinstance(hello, dict) else None
+            if not _is_int(other) or not rank < other < p or other in peers:
+                s.close()
+                return 3
+            peers[other] = s
 
         sender = _Sender()
 
         while True:
             msg = recv_json(coord)
+            if not isinstance(msg, dict) or not ("bye" in msg or "plan" in msg):
+                return 3
             if "bye" in msg:
                 return 0
-            plan_cfg = msg["plan"]
             inp = recv_array(coord)
+            plan_cfg = msg["plan"]
+            if not _plan_ok(plan_cfg, p):
+                return 3
             try:
                 out = _worker_collective(rank, plan_cfg, inp, peers, sender,
                                          die_at_step)
@@ -509,22 +545,6 @@ class TcpCluster:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def run_over_tcp(buffers, topo: Topology | None = None, *,
-                 algorithm: str = "ring", op: str = "sum", timeout: float = 30.0,
-                 die_at_step: dict[int, int] | None = None):
-    """One-shot collective over spawned loopback worker processes.
-
-    Returns (per-rank results, schedule); raises CollectiveAbort (with
-    the failing round index when known) if any worker dies mid-run.
-    """
-    p = len(buffers)
-    k = topo.k if topo is not None else 1
-    if topo is not None and topo.p != p:
-        raise ValueError(f"topology is for p={topo.p}, got {p} buffers")
-    with TcpCluster(p, timeout=timeout, die_at_step=die_at_step) as cluster:
-        return cluster.allreduce(buffers, algorithm=algorithm, k=k, op=op)
 
 
 def run_coordinator(port: int, workers: int, make_inputs, *, algorithm: str = "ring",

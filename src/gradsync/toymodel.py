@@ -1,9 +1,12 @@
 """A small dense network for exercising the optimizer end to end.
 
 Hidden blocks are dense -> optional batch norm -> relu; the head is a
-plain affine map.  Parameters live in flat optimizer groups of float32
-masters, and the net keeps shaped views of them, so optimizer updates
-are visible immediately.
+plain affine map.  The net owns one flat layout: three float32 vectors,
+``master``, ``grad`` and ``velocity``, hold every parameter tensor back
+to back in ``groups`` order, and each group's ``master_w``, ``grad`` and
+``velocity`` are slice views of them.  The net also keeps shaped views
+of the masters, so optimizer updates are visible immediately, and a
+caller can read or write all gradients as one vector.
 
 In mixed mode every tensor crossing a layer boundary is rounded
 through half precision, and matrix products read the net's
@@ -19,10 +22,13 @@ itself always stay in float32.
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
 
 from .halfprec import quantize_tensor
-from .lars import ParamGroup, make_param_group
+from .lars import ParamGroup
 
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
 
@@ -53,37 +59,42 @@ class DenseNet:
         self._masters: dict[str, np.ndarray] = {}
         self.running: dict[int, list[np.ndarray]] = {}
 
-        rng = np.random.default_rng(seed)
-        depth = len(sizes) - 1
-        for i in range(depth):
+        layout = []  # (name, kind, shape) in network order
+        for i in range(self.depth):
             fan_in, fan_out = sizes[i], sizes[i + 1]
-            hidden = i < depth - 1
-            prefix = f"layer{i}" if hidden else "head"
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
-            self._add(f"{prefix}.weight", "weight", w.astype(np.float32))
-            if hidden and use_bn:
-                self._add(f"{prefix}.bn_gamma", "bn_gamma", np.ones(fan_out))
-                self._add(f"{prefix}.bn_beta", "bn_beta", np.zeros(fan_out))
+            prefix = f"layer{i}" if i < self.depth - 1 else "head"
+            layout.append((f"{prefix}.weight", "weight", (fan_in, fan_out)))
+            if prefix != "head" and use_bn:
+                layout += [(f"{prefix}.bn_gamma", "bn_gamma", (fan_out,)),
+                           (f"{prefix}.bn_beta", "bn_beta", (fan_out,))]
                 self.running[i] = [np.zeros(fan_out, np.float32),
                                    np.ones(fan_out, np.float32)]
             else:
-                self._add(f"{prefix}.bias", "bias", np.zeros(fan_out))
-        self.round_weights()
+                layout.append((f"{prefix}.bias", "bias", (fan_out,)))
+        ends = list(accumulate((math.prod(shape) for _, _, shape in layout), initial=0))
+        self.master, self.grad, self.velocity, self._rounded = np.zeros(
+            (4, ends[-1]), np.float32)
+        self.rounded: dict[str, np.ndarray] = {}
 
-    def _add(self, name: str, kind: str, values: np.ndarray) -> None:
-        group = make_param_group(name, kind, values)
-        self.groups.append(group)
-        self._by_name[name] = group
-        self._masters[name] = group.master_w.reshape(values.shape)
+        rng = np.random.default_rng(seed)
+        for (name, kind, shape), lo, hi in zip(layout, ends, ends[1:]):
+            group = ParamGroup(name, kind, self.master[lo:hi], self.grad[lo:hi],
+                               self.velocity[lo:hi])
+            if kind == "weight":
+                group.master_w[:] = rng.normal(0.0, np.sqrt(2.0 / shape[0]),
+                                               shape).reshape(-1)
+            elif kind == "bn_gamma":
+                group.master_w[:] = 1.0
+            self.groups.append(group)
+            self._by_name[name] = group
+            self._masters[name] = group.master_w.reshape(shape)
+            self.rounded[name] = self._rounded[lo:hi].reshape(shape)
+        self.round_weights()
 
     def round_weights(self) -> None:
         """Round every master through half precision into ``rounded``,
         the weights mixed-mode passes read; call after the masters change."""
-        flat = quantize_tensor(np.concatenate(list(self._masters.values()), axis=None))
-        self.rounded, start = {}, 0
-        for name, w in self._masters.items():
-            self.rounded[name] = flat[start:start + w.size].reshape(w.shape)
-            start += w.size
+        self._rounded[:] = quantize_tensor(self.master)
 
     def _param(self, name: str, mixed: bool) -> np.ndarray:
         return self.rounded[name] if mixed else self._masters[name]

@@ -44,7 +44,7 @@ from gradsync.netsim import (
     scaling_efficiency,
     simulate,
 )
-from gradsync.tcp import run_over_tcp
+from gradsync.tcp import TcpCluster
 from gradsync.toymodel import DenseNet, make_synthetic_dataset
 
 
@@ -126,13 +126,15 @@ def test_tcp_transport_bitwise_matches_in_memory():
         mem_hier, _ = hierarchical_allreduce(bufs, topo)
         for algorithm, reference in (("ring", mem_ring),
                                      ("hierarchical", mem_hier)):
-            wire, _ = run_over_tcp(bufs, topo, algorithm=algorithm, timeout=30)
+            with TcpCluster(p, timeout=30) as cluster:
+                wire, _ = cluster.allreduce(bufs, algorithm=algorithm, k=k)
             for r in range(p):
                 assert np.array_equal(wire[r], reference[r]), (p, algorithm, r)
         # the size-based selector picks one of the same two executors
         nbytes = bufs[0].nbytes
         chosen = choose_algorithm(nbytes, eta_bytes=nbytes + 1)
-        wire, _ = run_over_tcp(bufs, topo, algorithm=chosen, timeout=30)
+        with TcpCluster(p, timeout=30) as cluster:
+            wire, _ = cluster.allreduce(bufs, algorithm=chosen, k=k)
         reference = mem_hier if chosen == "hierarchical" else mem_ring
         for r in range(p):
             assert np.array_equal(wire[r], reference[r])

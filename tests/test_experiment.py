@@ -308,6 +308,19 @@ def test_run_dirs_share_one_stamp_and_hash(tmp_path, monkeypatch):
         assert saved["hash"] == report["config_hash"] == cfg.config_hash()
 
 
+def test_run_dir_claim_survives_a_race(tmp_path, monkeypatch):
+    # another run claims the name between a probe and the mkdir: the probe
+    # says the name is free, and this run must still land in a fresh dir
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "20260101-000000")
+    cfg = small_config(steps=1)
+    base = f"20260101-000000-{cfg.config_hash()}"
+    (tmp_path / base).mkdir()
+    monkeypatch.setattr(Path, "exists", lambda self, **kw: False)
+    report = run_experiment(cfg, out_root=tmp_path)
+    assert Path(report["run_dir"]).name == f"{base}-1"
+    assert list((tmp_path / base).iterdir()) == []
+
+
 def test_activation_stats_every_tenth_step(tmp_path):
     report = run_experiment(small_config(steps=21), out_root=tmp_path)
     records = read_jsonl(report, "activations.jsonl")

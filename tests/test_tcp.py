@@ -5,6 +5,7 @@ import json
 import socket
 import sys
 import threading
+from contextlib import ExitStack
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from gradsync.collectives import (
     ring_allreduce,
     ring_schedule,
 )
-from gradsync.tcp import CollectiveAbort, TcpCluster, run_over_tcp
+from gradsync.tcp import CollectiveAbort, TcpCluster
 
 
 def rand_buffers(p, n, seed):
@@ -134,24 +135,114 @@ def test_recv_json_rejects_undecodable_payload():
         b.close()
 
 
-def test_worker_exits_3_on_a_partial_element_input():
-    with socket.create_server((tcp.HOST, 0)) as server:
+def worker_exit_code(rank, go, *records, peer_hello=None):
+    """Exit code of one worker thread run against a fake coordinator.
+
+    The coordinator answers the worker's hello with ``go`` (a callable
+    gets the port of a fake rank-0 peer, which only listens), then sends
+    each record: a dict as a control frame, bytes as a float32 frame's
+    payload.  With ``peer_hello``, a fake higher-rank peer dials the
+    worker and sends it instead.  Returns None if the worker raised
+    instead of returning.
+    """
+    with socket.create_server((tcp.HOST, 0)) as server, \
+            socket.create_server((tcp.HOST, 0)) as peer:
         server.settimeout(10)
         codes = []
         worker = threading.Thread(target=lambda: codes.append(
-            tcp.run_worker(tcp.HOST, server.getsockname()[1], 0, timeout=10)))
+            tcp.run_worker(tcp.HOST, server.getsockname()[1], rank, timeout=10)))
         worker.start()
         coord, _ = server.accept()
         with coord:
             coord.settimeout(10)
-            assert tcp.recv_json(coord)["hello"] == 0
-            tcp.send_json(coord, {"peers": {}, "p": 1})
-            tcp.send_json(coord, {"plan": {"algorithm": "ring", "p": 1, "k": 1,
-                                           "op": "sum"}})
-            tcp.send_frame(coord, tcp.TAG_F32, b"\x00" * 6)
-            worker.join(timeout=10)
+            hello = tcp.recv_json(coord)
+            assert hello["hello"] == rank
+            doc = go(peer.getsockname()[1]) if callable(go) else go
+            tcp.send_frame(coord, tcp.TAG_JSON, json.dumps(doc).encode())
+            for record in records:
+                if isinstance(record, bytes):
+                    tcp.send_frame(coord, tcp.TAG_F32, record)
+                else:
+                    tcp.send_frame(coord, tcp.TAG_JSON, json.dumps(record).encode())
+            with ExitStack() as dials:
+                if peer_hello is not None:
+                    dial = dials.enter_context(socket.create_connection(
+                        (tcp.HOST, hello["listen_port"]), timeout=10))
+                    tcp.send_frame(dial, tcp.TAG_JSON, json.dumps(peer_hello).encode())
+                worker.join(timeout=10)
     assert not worker.is_alive()
-    assert codes == [3]
+    return codes[0] if codes else None
+
+
+def test_worker_exits_3_on_a_partial_element_input():
+    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum"}}
+    assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 6) == 3
+
+
+def mesh_of_2(port):
+    return {"peers": {"0": port}, "p": 2}
+
+
+def plan_of(**changes):
+    plan = {"algorithm": "ring", "p": 2, "k": 1, "op": "sum"}
+    plan.update(changes)
+    return {"plan": {k: v for k, v in plan.items() if v is not None}}
+
+
+@pytest.mark.parametrize("go", [
+    pytest.param([1], id="not-an-object"),
+    pytest.param(lambda port: {"p": 2}, id="no-peers"),
+    pytest.param(lambda port: {"peers": {"x": port}, "p": 2}, id="rank-x"),
+    pytest.param(lambda port: {"peers": [port], "p": 2}, id="peers-a-list"),
+    pytest.param({"peers": {}, "p": 2}, id="lower-rank-missing"),
+    pytest.param(lambda port: {"peers": {"0": str(port)}, "p": 2}, id="port-a-string"),
+    pytest.param(lambda port: {"peers": {"0": 1 << 16}, "p": 2}, id="port-out-of-range"),
+    pytest.param(lambda port: {"peers": {"0": port}}, id="no-p"),
+    pytest.param(lambda port: {"peers": {"0": port}, "p": True}, id="p-a-bool"),
+    pytest.param(lambda port: {"peers": {"0": port}, "p": 1}, id="p-not-above-rank"),
+    pytest.param(lambda port: {"peers": {"0": port}, "p": 2.0}, id="p-a-float"),
+    pytest.param({"error": "rendezvous failed"}, id="rendezvous-error"),
+])
+def test_worker_exits_3_on_a_malformed_go_record(go):
+    assert worker_exit_code(1, go) == 3
+
+
+@pytest.mark.parametrize("record", [{"done": 1}, [1], "bye"],
+                         ids=["other-object", "a-list", "a-string"])
+def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
+    assert worker_exit_code(1, mesh_of_2, record) == 3
+
+
+@pytest.mark.parametrize("plan", [
+    pytest.param(plan_of(p=None), id="no-p"),
+    pytest.param(plan_of(p=3), id="p-not-the-mesh"),
+    pytest.param(plan_of(p=2.0), id="p-a-float"),
+    pytest.param(plan_of(algorithm="tree"), id="algorithm-tree"),
+    pytest.param(plan_of(algorithm=None), id="no-algorithm"),
+    pytest.param(plan_of(k=None), id="no-k"),
+    pytest.param(plan_of(k=0), id="k-0"),
+    pytest.param(plan_of(k=3), id="k-not-dividing-p"),
+    pytest.param(plan_of(k=True), id="k-a-bool"),
+    pytest.param(plan_of(op="max"), id="op-max"),
+    pytest.param(plan_of(op=None), id="no-op"),
+    pytest.param({"plan": [1]}, id="plan-a-list"),
+])
+def test_worker_exits_3_on_a_malformed_plan(plan):
+    assert worker_exit_code(1, mesh_of_2, plan, b"\x00" * 8) == 3
+
+
+def test_worker_exits_3_on_a_plan_for_one_worker():
+    # a one-worker plan has no rounds, so nothing would fill its result
+    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum"}}
+    assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 8) == 3
+
+
+@pytest.mark.parametrize("hello", [{"rank": "1"}, {"rank": 0}, {"rank": 2},
+                                   {"rank": True}, [1], {}],
+                         ids=["rank-a-string", "own-rank", "rank-past-p",
+                              "rank-a-bool", "a-list", "no-rank"])
+def test_worker_exits_3_on_a_malformed_peer_hello(hello):
+    assert worker_exit_code(0, {"peers": {}, "p": 2}, peer_hello=hello) == 3
 
 
 def test_empty_array_frame():
@@ -317,7 +408,8 @@ def test_hierarchical_plan_bytes_against_the_model(p, k, ratio):
 ])
 def test_edge_plans_over_tcp_match_in_memory(algorithm, p, k, n):
     bufs = rand_buffers(p, n, seed=p + k + n)
-    wire, _ = run_over_tcp(bufs, Topology(p, k), algorithm=algorithm, timeout=20)
+    with TcpCluster(p, timeout=20) as cluster:
+        wire, _ = cluster.allreduce(bufs, algorithm=algorithm, k=k)
     if algorithm == "ring":
         mem, _ = ring_allreduce(bufs)
     else:
@@ -329,7 +421,8 @@ def test_edge_plans_over_tcp_match_in_memory(algorithm, p, k, n):
 @pytest.mark.parametrize("p", [2, 4])
 def test_ring_over_tcp_matches_in_memory(p):
     bufs = rand_buffers(p, 257, seed=p)
-    wire, sched = run_over_tcp(bufs, algorithm="ring", timeout=20)
+    with TcpCluster(p, timeout=20) as cluster:
+        wire, sched = cluster.allreduce(bufs, algorithm="ring")
     mem, mem_sched = ring_allreduce(bufs)
     assert sched.total_steps == mem_sched.total_steps == 2 * (p - 1)
     for r in range(p):
@@ -339,7 +432,8 @@ def test_ring_over_tcp_matches_in_memory(p):
 def test_hierarchical_over_tcp_matches_in_memory():
     topo = Topology(4, 2)
     bufs = rand_buffers(4, 64, seed=9)
-    wire, _ = run_over_tcp(bufs, topo, algorithm="hierarchical", timeout=20)
+    with TcpCluster(4, timeout=20) as cluster:
+        wire, _ = cluster.allreduce(bufs, algorithm="hierarchical", k=topo.k)
     mem, _ = hierarchical_allreduce(bufs, topo)
     for r in range(4):
         assert np.array_equal(wire[r], mem[r])
@@ -347,7 +441,8 @@ def test_hierarchical_over_tcp_matches_in_memory():
 
 def test_mean_op_over_tcp():
     bufs = rand_buffers(2, 33, seed=5)
-    wire, _ = run_over_tcp(bufs, op="mean", timeout=20)
+    with TcpCluster(2, timeout=20) as cluster:
+        wire, _ = cluster.allreduce(bufs, op="mean")
     mem, _ = ring_allreduce(bufs, op="mean")
     assert np.array_equal(wire[0], mem[0])
 
@@ -425,14 +520,16 @@ def test_single_worker_skips_sockets_entirely():
 
 def test_zero_length_vectors():
     bufs = [np.empty(0, dtype=np.float32) for _ in range(2)]
-    wire, _ = run_over_tcp(bufs, timeout=20)
+    with TcpCluster(2, timeout=20) as cluster:
+        wire, _ = cluster.allreduce(bufs)
     assert all(w.size == 0 for w in wire)
 
 
 def test_worker_death_raises_abort_with_step():
     bufs = rand_buffers(3, 50, seed=3)
     with pytest.raises(CollectiveAbort) as exc_info:
-        run_over_tcp(bufs, algorithm="ring", timeout=10, die_at_step={1: 1})
+        with TcpCluster(3, timeout=10, die_at_step={1: 1}) as cluster:
+            cluster.allreduce(bufs, algorithm="ring")
     assert "step" in str(exc_info.value)
     assert exc_info.value.step is not None and exc_info.value.step >= 1
 
@@ -460,7 +557,8 @@ def test_aborted_cluster_stays_dead(monkeypatch):
 
 def test_buffer_validation():
     with pytest.raises(TypeError, match="float32"):
-        run_over_tcp([np.zeros(4), np.zeros(4)])
+        with TcpCluster(2, timeout=20) as cluster:
+            cluster.allreduce([np.zeros(4), np.zeros(4)])
     with TcpCluster(2, timeout=20) as cluster:
         with pytest.raises(ValueError, match="share a length"):
             cluster.allreduce([np.zeros(3, np.float32), np.zeros(4, np.float32)])

@@ -7,7 +7,8 @@ import pytest
 
 from gradsync import halfprec
 from gradsync.halfprec import f16_to_f32, f32_to_f16, quantize_tensor, unscale_gradients
-from gradsync.lars import LarsConfig, Schedule, lars_step
+from gradsync.lars import (LarsConfig, Schedule, lars_step, load_checkpoint,
+                           save_checkpoint)
 from gradsync.toymodel import DenseNet, evaluate, make_synthetic_dataset
 
 
@@ -276,3 +277,81 @@ def test_training_reduces_loss():
     final = evaluate(net, x, y)
     assert final["loss"] < 0.5 * first
     assert final["accuracy"] > 0.9
+
+
+# --- the flat parameter layout ------------------------------------------------
+
+
+def flat_of(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_group_arrays_are_views_of_the_flat_vectors(use_bn):
+    net = DenseNet([5, 7, 6, 3], use_bn=use_bn, seed=2)
+    lo = 0
+    for g in net.groups:
+        hi = lo + g.size
+        for flat, arr in ((net.master, g.master_w), (net.grad, g.grad),
+                          (net.velocity, g.velocity)):
+            assert np.shares_memory(arr, flat)
+            assert arr.ctypes.data == flat[lo:hi].ctypes.data and arr.size == hi - lo
+        assert np.shares_memory(net._masters[g.name], g.master_w)
+        lo = hi
+    assert lo == net.master.size == net.grad.size == net.velocity.size
+    net.grad[:] = np.arange(net.grad.size)
+    assert np.array_equal(flat_of(g.grad for g in net.groups), net.grad)
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_flat_layout_keeps_the_initial_values(use_bn):
+    # the old per-group construction, rebuilt: one normal draw per weight
+    # in layer order; gammas start at one, betas and biases at zero
+    rng = np.random.default_rng(3)
+    expect = []
+    for i, (fan_in, fan_out) in enumerate(((5, 7), (7, 6), (6, 3))):
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
+        expect.append(w.astype(np.float32))
+        expect += ([np.ones(fan_out), np.zeros(fan_out)] if use_bn and i < 2
+                   else [np.zeros(fan_out)])
+    net = DenseNet([5, 7, 6, 3], use_bn=use_bn, seed=3)
+    assert net.master.tobytes() == flat_of(expect).astype(np.float32).tobytes()
+    assert not net.grad.any() and not net.velocity.any()
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_forward_backward_writes_every_gradient(use_bn, mixed):
+    x, y = make_synthetic_dataset(8, 5, 3, seed=0)
+    net = DenseNet([5, 7, 6, 3], use_bn=use_bn, seed=1)
+    net.grad[:] = np.nan
+    net.forward_backward(x, y, mixed=mixed)
+    assert np.isfinite(net.grad).all()
+
+
+def test_lars_step_moves_the_flat_masters_and_rounding_follows():
+    x, y = make_synthetic_dataset(16, 5, 3, seed=4)
+    net = DenseNet([5, 7, 3], seed=4)
+    before = net.master.copy()
+    net.forward_backward(x, y, mixed=True)
+    assert lars_step(net.groups, LarsConfig(schedule=Schedule(base_lr=0.5)), 0)
+    assert not np.array_equal(net.master, before)
+    assert net.velocity.any()
+    assert np.array_equal(flat_of(g.master_w for g in net.groups), net.master)
+    net.round_weights()
+    rounded = flat_of(net.rounded[g.name] for g in net.groups)
+    assert rounded.tobytes() == quantize_tensor(net.master).tobytes()
+    assert rounded.tobytes() != quantize_tensor(before).tobytes()
+
+
+def test_checkpoint_of_the_net_groups_restores_the_flat_vectors(tmp_path):
+    x, y = make_synthetic_dataset(16, 5, 3, seed=5)
+    net = DenseNet([5, 7, 6, 3], use_bn=True, seed=5)
+    net.forward_backward(x, y)
+    assert lars_step(net.groups, LarsConfig(schedule=Schedule(base_lr=0.5)), 0)
+    save_checkpoint(tmp_path / "net.ckpt", net.groups, step=1)
+    loaded, step = load_checkpoint(tmp_path / "net.ckpt")
+    assert step == 1
+    assert [g.name for g in loaded] == [g.name for g in net.groups]
+    assert flat_of(g.master_w for g in loaded).tobytes() == net.master.tobytes()
+    assert flat_of(g.velocity for g in loaded).tobytes() == net.velocity.tobytes()
