@@ -290,7 +290,10 @@ def _finish(buffers, schedule, op) -> tuple[list[np.ndarray], ReduceSchedule]:
         reduced = f32_to_f16(fold_ascending([f16_to_f32(b) for b in buffers], op))
     else:
         reduced = fold_ascending(buffers, op)
-    return [reduced.copy() for _ in buffers], schedule
+    # one allocation for every rank's copy; each rank gets its own row
+    results = np.empty((len(buffers), *reduced.shape), dtype=reduced.dtype)
+    results[:] = reduced
+    return list(results), schedule
 
 
 # One build per all-reduce shape.  The builders themselves stay uncached:

@@ -348,6 +348,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
         cluster = TcpCluster(cfg.workers)
 
     shard_len = cfg.batch_size // cfg.workers
+    group_ends = list(accumulate((g.size for g in net.groups), initial=0))
     skipped = 0
     costs = []  # each bucket's SimReport, from the schedule of its step-0 all-reduce
     comm_total = 0.0
@@ -383,7 +384,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
                 with np.errstate(over="ignore", invalid="ignore"):
                     if cluster is not None:
                         results, schedule = cluster.allreduce(
-                            rows, algorithm=algorithm, k=topo.k, op="mean")
+                            rows, algorithm=algorithm, k=topo.k, op="mean",
+                            result_rank=0)
                     elif algorithm == "hierarchical":
                         results, schedule = hierarchical_allreduce(
                             rows, topo, op="mean")
@@ -402,10 +404,12 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
             grad_norm = 0.0
             if applied:
                 net.grad[:] = unscale_gradients(net.grad, step_scale)
+                # one float64 widening; the per-group dots still add up
+                # in group order
+                grad64 = net.grad.astype(np.float64)
                 grad_norm = float(np.sqrt(sum(
-                    float(np.dot(g.grad.astype(np.float64),
-                                 g.grad.astype(np.float64)))
-                    for g in net.groups)))
+                    float(np.dot(grad64[lo:hi], grad64[lo:hi]))
+                    for lo, hi in zip(group_ends, group_ends[1:]))))
                 applied = lars_step(net.groups, opt_cfg, step)
                 if applied and cfg.mixed:
                     net.round_weights()

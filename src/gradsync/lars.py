@@ -143,8 +143,10 @@ def make_param_group(name: str, kind: str, values, **flags) -> ParamGroup:
 def lars_local_lr(w: np.ndarray, g: np.ndarray, eta: float,
                   epsilon: float = 0.0) -> float:
     """Norm-quotient rate eta * ||w|| / (||g|| + epsilon), or 1 if degenerate."""
-    w_norm = float(np.linalg.norm(w.astype(np.float64)))
-    g_norm = float(np.linalg.norm(g.astype(np.float64)))
+    # np.linalg.norm of a 1-D float64 vector without its argument checks
+    w64, g64 = w.astype(np.float64), g.astype(np.float64)
+    w_norm = math.sqrt(w64.dot(w64))
+    g_norm = math.sqrt(g64.dot(g64))
     denom = g_norm + epsilon
     if w_norm == 0.0 or denom == 0.0:
         return 1.0
@@ -160,7 +162,7 @@ def lars_step(groups: list[ParamGroup], cfg: LarsConfig, step: int) -> bool:
     """Apply one optimizer step in place; False (and no mutation) if any
     gradient holds a NaN or infinity."""
     for group in groups:
-        if not np.all(np.isfinite(group.grad)):
+        if not np.isfinite(group.grad).all():
             return False
 
     gamma = cfg.schedule.lr(step)

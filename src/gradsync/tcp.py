@@ -314,11 +314,15 @@ def _parse_go(go, rank: int) -> tuple[int, dict[int, int]] | None:
 
 
 def _plan_ok(plan, p: int) -> bool:
-    """A plan config this worker's mesh of p >= 2 workers can run."""
+    """A plan config this worker's mesh of p >= 2 workers can run; its
+    ``result`` names the one rank that sends its result back, or is None
+    for every rank."""
     return (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p
             and p >= 2 and plan.get("algorithm") in ("ring", "hierarchical")
             and _is_int(plan.get("k")) and plan["k"] >= 1 and p % plan["k"] == 0
-            and plan.get("op") in ("sum", "mean"))
+            and plan.get("op") in ("sum", "mean")
+            and "result" in plan and (plan["result"] is None or (
+                _is_int(plan["result"]) and 0 <= plan["result"] < p)))
 
 
 def run_worker(coord_host: str, coord_port: int, rank: int,
@@ -382,7 +386,8 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                     pass
                 return 3
             send_json(coord, {"done": rank})
-            send_array(coord, out)
+            if plan_cfg["result"] in (None, rank):
+                send_array(coord, out)
     except (OSError, ConnectionError):
         return 3
     finally:
@@ -471,8 +476,14 @@ class TcpCluster:
             send_json(m.sock, {"peers": ports, "p": self.p})
 
     def allreduce(self, buffers, *, algorithm: str = "ring", k: int = 1,
-                  op: str = "sum") -> tuple[list[np.ndarray], ReduceSchedule]:
-        """Run one collective across the cluster; returns per-rank results."""
+                  op: str = "sum", result_rank: int | None = None
+                  ) -> tuple[list[np.ndarray], ReduceSchedule]:
+        """Run one collective across the cluster; returns per-rank results.
+
+        With ``result_rank`` only that rank sends its result back, and the
+        list holds just that one.  Every worker still reports done or
+        abort, so a failure anywhere is caught either way.
+        """
         if self._abort is not None:
             raise CollectiveAbort(f"cluster is dead after an earlier abort: "
                                   f"{self._abort}", step=self._abort.step)
@@ -489,12 +500,17 @@ class TcpCluster:
         n = arrs[0].size
         if any(a.size != n for a in arrs):
             raise ValueError("buffers must share a length")
+        if result_rank is not None and not (_is_int(result_rank)
+                                            and 0 <= result_rank < self.p):
+            raise ValueError(f"result_rank must be a rank below {self.p} or None, "
+                             f"got {result_rank!r}")
         sched = _schedule(algorithm, self.p, k, n, 4)
 
         if self.p == 1:
             return [fold_ascending(arrs, op)], sched
 
-        plan = {"algorithm": algorithm, "p": self.p, "k": k, "op": op}
+        plan = {"algorithm": algorithm, "p": self.p, "k": k, "op": op,
+                "result": result_rank}
         for m, arr in zip(self._members, arrs):
             send_json(m.sock, {"plan": plan})
             send_array(m.sock, arr)
@@ -502,7 +518,8 @@ class TcpCluster:
         # Drain every member before deciding the outcome: the crashed
         # worker itself reports nothing, so the step index comes from
         # a surviving peer's abort message.
-        results = np.empty((self.p, n), dtype=np.float32)
+        wanted = range(self.p) if result_rank is None else [result_rank]
+        results = np.empty((len(wanted), n), dtype=np.float32)
         reported_abort: dict | None = None
         vanished: tuple[int, Exception] | None = None
         for m in self._members:
@@ -511,7 +528,8 @@ class TcpCluster:
                 if "abort" in status:
                     reported_abort = reported_abort or status
                     continue
-                recv_array_into(m.sock, results[m.rank])
+                if m.rank in wanted:
+                    recv_array_into(m.sock, results[wanted.index(m.rank)])
             except (OSError, ConnectionError) as exc:
                 vanished = vanished or (m.rank, exc)
         if reported_abort is not None:

@@ -4,9 +4,12 @@ Hidden blocks are dense -> optional batch norm -> relu; the head is a
 plain affine map.  The net owns one flat layout: three float32 vectors,
 ``master``, ``grad`` and ``velocity``, hold every parameter tensor back
 to back in ``groups`` order, and each group's ``master_w``, ``grad`` and
-``velocity`` are slice views of them.  The net also keeps shaped views
-of the masters, so optimizer updates are visible immediately, and a
-caller can read or write all gradients as one vector.
+``velocity`` are slice views of them.  At construction the net also
+builds, per layer, shaped views of that layer's masters, of their
+half-precision roundings and of its slice of ``grad``.  The passes read
+the weights through these views, so optimizer updates are visible
+immediately, and write each gradient straight into ``grad``, so a caller
+can read or write all gradients as one vector.
 
 In mixed mode every tensor crossing a layer boundary is rounded
 through half precision, and matrix products read the net's
@@ -33,10 +36,13 @@ from .lars import ParamGroup
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
 
 LOSSES = ("softmax_ce", "mse")
+# one scalar for every ReLU and its adjoint: a fresh np.float32(0.0) per
+# np.where call costs more than the where itself on small layers
+_ZERO = np.float32(0.0)
 
 
-def _quantize(arr: np.ndarray, mixed: bool) -> np.ndarray:
-    return quantize_tensor(arr) if mixed else arr
+def _same(arr: np.ndarray) -> np.ndarray:
+    return arr
 
 
 class DenseNet:
@@ -55,8 +61,6 @@ class DenseNet:
         self.bn_eps = np.float32(bn_eps)
         self.bn_momentum = np.float32(bn_momentum)
         self.groups: list[ParamGroup] = []
-        self._by_name: dict[str, ParamGroup] = {}
-        self._masters: dict[str, np.ndarray] = {}
         self.running: dict[int, list[np.ndarray]] = {}
 
         layout = []  # (name, kind, shape) in network order
@@ -75,6 +79,12 @@ class DenseNet:
         self.master, self.grad, self.velocity, self._rounded = np.zeros(
             (4, ends[-1]), np.float32)
         self.rounded: dict[str, np.ndarray] = {}
+        # Per layer, shaped views of its tensors in layout order, (weight,
+        # bias) or (weight, bn_gamma, bn_beta): of the masters, of their
+        # roundings and of the gradient.  The passes index these lists.
+        self._masters: list[list[np.ndarray]] = []
+        self._roundings: list[list[np.ndarray]] = []
+        self._grads: list[list[np.ndarray]] = []
 
         rng = np.random.default_rng(seed)
         for (name, kind, shape), lo, hi in zip(layout, ends, ends[1:]):
@@ -83,21 +93,21 @@ class DenseNet:
             if kind == "weight":
                 group.master_w[:] = rng.normal(0.0, np.sqrt(2.0 / shape[0]),
                                                shape).reshape(-1)
+                for views in (self._masters, self._roundings, self._grads):
+                    views.append([])
             elif kind == "bn_gamma":
                 group.master_w[:] = 1.0
             self.groups.append(group)
-            self._by_name[name] = group
-            self._masters[name] = group.master_w.reshape(shape)
             self.rounded[name] = self._rounded[lo:hi].reshape(shape)
+            self._masters[-1].append(group.master_w.reshape(shape))
+            self._roundings[-1].append(self.rounded[name])
+            self._grads[-1].append(group.grad.reshape(shape))
         self.round_weights()
 
     def round_weights(self) -> None:
         """Round every master through half precision into ``rounded``,
         the weights mixed-mode passes read; call after the masters change."""
         self._rounded[:] = quantize_tensor(self.master)
-
-    def _param(self, name: str, mixed: bool) -> np.ndarray:
-        return self.rounded[name] if mixed else self._masters[name]
 
     @property
     def depth(self) -> int:
@@ -129,52 +139,57 @@ class DenseNet:
     def _forward_backward(self, x, y, mixed, loss_scale, collect_stats,
                           stats_step) -> float:
         B = x.shape[0]
-        a = _quantize(x, mixed)
+        q = quantize_tensor if mixed else _same
+        params = self._roundings if mixed else self._masters
+        a = q(x)
         cache = []
         for i in range(self.depth - 1):
-            W = self._param(f"layer{i}.weight", mixed)
-            z = _quantize(a @ W, mixed)
+            W = params[i][0]
+            z = q(a @ W)
             if self.use_bn:
-                gamma = self._param(f"layer{i}.bn_gamma", mixed)
-                beta = self._param(f"layer{i}.bn_beta", mixed)
+                _, gamma, beta = params[i]
                 mean = z.mean(axis=0)
                 var = z.var(axis=0)
                 invstd = np.float32(1.0) / np.sqrt(var + self.bn_eps)
                 xhat = (z - mean) * invstd
-                pre = _quantize(gamma * xhat + beta, mixed)
+                pre = q(gamma * xhat + beta)
                 m = self.bn_momentum
                 self.running[i][0] = (1 - m) * self.running[i][0] + m * mean
                 self.running[i][1] = (1 - m) * self.running[i][1] + m * var
             else:
-                bias = self._param(f"layer{i}.bias", mixed)
-                pre = _quantize(z + bias, mixed)
+                z += params[i][1]
+                pre = q(z)
                 xhat = invstd = gamma = None
-            mask = pre > 0
-            out = np.where(mask, pre, np.float32(0.0))
+            mask = pre > _ZERO
+            out = np.where(mask, pre, _ZERO)
             cache.append((a, W, xhat, invstd, gamma, mask))
             a = out
             if collect_stats is not None:
                 collect_stats.append(_stats_record(stats_step, f"layer{i}", out))
 
-        W_head = self._param("head.weight", mixed)
-        b_head = self._param("head.bias", mixed)
-        logits = _quantize(a @ W_head + b_head, mixed)
+        W_head, b_head = params[-1]
+        logits = a @ W_head
+        logits += b_head
+        logits = q(logits)
         if collect_stats is not None:
             collect_stats.append(_stats_record(stats_step, "head", logits))
 
-        loss, dlogits = _loss_and_grad(self.loss, logits, y)
-        d = _quantize(dlogits * np.float32(loss_scale), mixed)
+        loss, d = _loss_and_grad(self.loss, logits, y)
+        d *= np.float32(loss_scale)
+        d = q(d)
 
-        self._by_name["head.weight"].grad[:] = (a.T @ d).reshape(-1)
-        self._by_name["head.bias"].grad[:] = d.sum(axis=0)
-        d = _quantize(d @ W_head.T, mixed)
+        g_weight, g_bias = self._grads[-1]
+        np.matmul(a.T, d, out=g_weight)
+        np.add.reduce(d, axis=0, out=g_bias)
+        d = q(d @ W_head.T)
 
         for i in reversed(range(self.depth - 1)):
             a_in, W, xhat, invstd, gamma, mask = cache[i]
-            d = np.where(mask, d, np.float32(0.0))
+            grads = self._grads[i]
+            d = np.where(mask, d, _ZERO)
             if self.use_bn:
-                self._by_name[f"layer{i}.bn_gamma"].grad[:] = (d * xhat).sum(axis=0)
-                self._by_name[f"layer{i}.bn_beta"].grad[:] = d.sum(axis=0)
+                np.add.reduce(d * xhat, axis=0, out=grads[1])
+                np.add.reduce(d, axis=0, out=grads[2])
                 dxhat = d * gamma
                 d = (invstd / np.float32(B)) * (
                     np.float32(B) * dxhat
@@ -182,10 +197,10 @@ class DenseNet:
                     - xhat * (dxhat * xhat).sum(axis=0)
                 )
             else:
-                self._by_name[f"layer{i}.bias"].grad[:] = d.sum(axis=0)
-            self._by_name[f"layer{i}.weight"].grad[:] = (a_in.T @ d).reshape(-1)
+                np.add.reduce(d, axis=0, out=grads[1])
+            np.matmul(a_in.T, d, out=grads[0])
             if i > 0:
-                d = _quantize(d @ W.T, mixed)
+                d = q(d @ W.T)
         return float(loss)
 
     def predict(self, x, *, mixed: bool = False) -> np.ndarray:
@@ -194,23 +209,25 @@ class DenseNet:
             return self._predict(x, mixed)
 
     def _predict(self, x, mixed: bool) -> np.ndarray:
-        a = _quantize(np.ascontiguousarray(x, dtype=np.float32), mixed)
+        q = quantize_tensor if mixed else _same
+        params = self._roundings if mixed else self._masters
+        a = q(np.ascontiguousarray(x, dtype=np.float32))
         for i in range(self.depth - 1):
-            W = self._param(f"layer{i}.weight", mixed)
-            z = _quantize(a @ W, mixed)
+            z = q(a @ params[i][0])
             if self.use_bn:
-                gamma = self._param(f"layer{i}.bn_gamma", mixed)
-                beta = self._param(f"layer{i}.bn_beta", mixed)
+                _, gamma, beta = params[i]
                 rm, rv = self.running[i]
                 xhat = (z - rm) / np.sqrt(rv + self.bn_eps)
-                pre = _quantize(gamma * xhat + beta, mixed)
+                pre = q(gamma * xhat + beta)
             else:
                 # in place: evaluation batches are the largest tensors a run holds
-                z += self._param(f"layer{i}.bias", mixed)
-                pre = _quantize(z, mixed)
-            a = np.maximum(pre, np.float32(0.0), out=pre)
-        return _quantize(a @ self._param("head.weight", mixed)
-                         + self._param("head.bias", mixed), mixed)
+                z += params[i][1]
+                pre = q(z)
+            a = np.maximum(pre, _ZERO, out=pre)
+        W_head, b_head = params[-1]
+        logits = a @ W_head
+        logits += b_head
+        return q(logits)
 
 
 def _stats_record(step: int, layer: str, values: np.ndarray) -> dict:
@@ -224,6 +241,8 @@ def _stats_record(step: int, layer: str, values: np.ndarray) -> dict:
 
 
 def _loss_and_grad(kind: str, logits: np.ndarray, y):
+    """The float32 loss and its gradient in the logits, a fresh array the
+    caller may scale in place."""
     B = logits.shape[0]
     if kind == "softmax_ce":
         y = np.asarray(y)
@@ -237,7 +256,7 @@ def _loss_and_grad(kind: str, logits: np.ndarray, y):
         dlogits = probs
         dlogits[np.arange(B), y] -= np.float32(1.0)
         dlogits /= np.float32(B)
-        return np.float32(loss), dlogits.astype(np.float32)
+        return np.float32(loss), dlogits.astype(np.float32, copy=False)
     target = np.ascontiguousarray(y, dtype=np.float32)
     if target.shape != logits.shape:
         raise ValueError(f"targets must match logits shape {logits.shape}")

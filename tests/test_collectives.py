@@ -286,6 +286,24 @@ def test_p1_identity():
     assert buf[0] == 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.uint16])
+@pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])
+def test_each_rank_result_is_its_own_memory(algorithm, dtype):
+    rng = np.random.default_rng(8)
+    inputs = rng.integers(0, 0x3C00, (4, 33)).astype(dtype)  # binary16 below 1.0
+    topo = Topology(4, 2)
+    run = ring_allreduce if algorithm == "ring" else hierarchical_allreduce
+    out, _ = run(list(inputs), topo)
+    want = out[0].copy()
+    assert len(out) == 4
+    for i, r in enumerate(out):
+        assert r.dtype == dtype and np.array_equal(r, want)
+        assert not np.shares_memory(r, inputs)
+        assert not any(np.shares_memory(r, other) for other in out[i + 1:])
+    out[0][:] = 0  # writing one rank's result leaves the rest alone
+    assert all(np.array_equal(r, want) for r in out[1:])
+
+
 def test_hybrid_selector_boundaries():
     assert choose_algorithm(100, 101) == "hierarchical"
     assert choose_algorithm(100, 100) == "ring"   # tie goes to ring

@@ -1,6 +1,7 @@
 """Optimizer tests: norm-quotient rates, momentum mechanics, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,39 @@ def test_local_lr_degenerate_cases():
     # epsilon keeps the quotient defined even for a zero gradient
     got = lars_local_lr(w, z, eta=0.001, epsilon=0.5)
     assert got == pytest.approx(0.001 * math.sqrt(8.0) / 0.5, rel=1e-12)
+
+
+def linalg_local_lr(w, g, eta, epsilon=0.0):
+    # the rate as it was first written, on np.linalg.norm
+    w_norm = float(np.linalg.norm(w.astype(np.float64)))
+    g_norm = float(np.linalg.norm(g.astype(np.float64)))
+    denom = g_norm + epsilon
+    if w_norm == 0.0 or denom == 0.0:
+        return 1.0
+    return eta * w_norm / denom
+
+
+def test_local_lr_equals_the_linalg_norm_formula_bitwise():
+    rng = np.random.default_rng(19)
+    tiny = np.float32(2.0 ** -140)  # subnormal in float32
+    vectors = [np.zeros(0, np.float32), np.zeros(1, np.float32),
+               np.float32([3.0]), np.float32([-tiny]), np.zeros(9, np.float32),
+               np.full(5, tiny, np.float32), np.float32([3e38, -3e38, 1.0]),
+               np.full(7, np.finfo(np.float32).max, np.float32)]
+    for _ in range(40):
+        n = int(rng.integers(0, 300))
+        v = (rng.standard_normal(n) * 10.0 ** rng.integers(-45, 38, n)).astype(np.float32)
+        v[rng.random(n) < 0.2] = 0.0
+        vectors.append(v)
+    for w in vectors:
+        for g in vectors:
+            if g.size != w.size:
+                g = np.resize(g, w.size)
+            for eps in (0.0, 1e-6):
+                got = lars_local_lr(w, g, eta=0.001, epsilon=eps)
+                want = linalg_local_lr(w, g, eta=0.001, epsilon=eps)
+                assert type(got) is float
+                assert struct.pack("<d", got) == struct.pack("<d", want), (w, g, eps)
 
 
 @given(st.integers(min_value=-8, max_value=8))

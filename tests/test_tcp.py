@@ -175,7 +175,7 @@ def worker_exit_code(rank, go, *records, peer_hello=None):
 
 
 def test_worker_exits_3_on_a_partial_element_input():
-    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum"}}
+    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum", "result": None}}
     assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 6) == 3
 
 
@@ -184,7 +184,7 @@ def mesh_of_2(port):
 
 
 def plan_of(**changes):
-    plan = {"algorithm": "ring", "p": 2, "k": 1, "op": "sum"}
+    plan = {"algorithm": "ring", "p": 2, "k": 1, "op": "sum", "result": 0}
     plan.update(changes)
     return {"plan": {k: v for k, v in plan.items() if v is not None}}
 
@@ -225,6 +225,11 @@ def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
     pytest.param(plan_of(k=True), id="k-a-bool"),
     pytest.param(plan_of(op="max"), id="op-max"),
     pytest.param(plan_of(op=None), id="no-op"),
+    pytest.param(plan_of(result=None), id="no-result"),
+    pytest.param(plan_of(result=2), id="result-past-p"),
+    pytest.param(plan_of(result=-1), id="result-negative"),
+    pytest.param(plan_of(result=True), id="result-a-bool"),
+    pytest.param(plan_of(result="0"), id="result-a-string"),
     pytest.param({"plan": [1]}, id="plan-a-list"),
 ])
 def test_worker_exits_3_on_a_malformed_plan(plan):
@@ -233,7 +238,7 @@ def test_worker_exits_3_on_a_malformed_plan(plan):
 
 def test_worker_exits_3_on_a_plan_for_one_worker():
     # a one-worker plan has no rounds, so nothing would fill its result
-    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum"}}
+    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum", "result": None}}
     assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 8) == 3
 
 
@@ -553,6 +558,46 @@ def test_aborted_cluster_stays_dead(monkeypatch):
     finally:
         cluster.close()
     assert len(procs) == 3 and not any(proc.is_alive() for proc in procs)
+
+
+def test_one_rank_result_comes_back_alone(monkeypatch):
+    # the coordinator reads one result frame per collective, not p, and
+    # it is the asked rank's result, bitwise the in-memory one
+    received = []
+    recv_into = tcp.recv_array_into
+
+    def counted(sock, out):
+        received.append(out.size)
+        return recv_into(sock, out)
+
+    monkeypatch.setattr(tcp, "recv_array_into", counted)
+    bufs = rand_buffers(4, 37, seed=12)
+    with TcpCluster(4, timeout=20) as cluster:
+        for algorithm, k, rank in (("ring", 1, 0), ("hierarchical", 2, 3),
+                                   ("ring", 2, 2)):
+            received.clear()
+            wire, _ = cluster.allreduce(bufs, algorithm=algorithm, k=k, op="mean",
+                                        result_rank=rank)
+            mem, _ = ring_allreduce(bufs, op="mean")
+            assert len(wire) == 1 and np.array_equal(wire[0], mem[rank])
+            assert received == [37]
+        received.clear()
+        wire, _ = cluster.allreduce(bufs)  # every rank, as before
+        assert len(wire) == 4 and received == [37] * 4
+        for bad in (4, -1, True, 1.0):
+            with pytest.raises(ValueError, match="result_rank"):
+                cluster.allreduce(bufs, result_rank=bad)
+        # the rejections sent nothing, so the cluster still runs
+        assert np.array_equal(cluster.allreduce(bufs, result_rank=1)[0][0],
+                              ring_allreduce(bufs)[0][1])
+
+
+def test_one_rank_result_still_detects_a_worker_death():
+    bufs = rand_buffers(3, 50, seed=3)
+    with pytest.raises(CollectiveAbort) as exc_info:
+        with TcpCluster(3, timeout=10, die_at_step={2: 1}) as cluster:
+            cluster.allreduce(bufs, algorithm="ring", result_rank=0)
+    assert exc_info.value.step is not None and exc_info.value.step >= 1
 
 
 def test_buffer_validation():

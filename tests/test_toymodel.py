@@ -1,6 +1,7 @@
 """Network tests: analytic gradients against float64 finite differences."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from gradsync import halfprec
 from gradsync.halfprec import f16_to_f32, f32_to_f16, quantize_tensor, unscale_gradients
 from gradsync.lars import (LarsConfig, Schedule, lars_step, load_checkpoint,
                            save_checkpoint)
-from gradsync.toymodel import DenseNet, evaluate, make_synthetic_dataset
+from gradsync.toymodel import (DenseNet, _loss_and_grad, _stats_record, evaluate,
+                               make_synthetic_dataset)
 
 
 # --- independent float64 replica of the forward pass ------------------------
@@ -17,11 +19,20 @@ from gradsync.toymodel import DenseNet, evaluate, make_synthetic_dataset
 # differences on it are a second route to the same gradients.
 
 
+def tensors(net, mixed=False):
+    """Every parameter tensor by name, shaped: the masters, or in mixed
+    mode their binary16 roundings."""
+    return {g.name: net.rounded[g.name] if mixed
+            else g.master_w.reshape(net.rounded[g.name].shape)
+            for g in net.groups}
+
+
+def group(net, name):
+    return next(g for g in net.groups if g.name == name)
+
+
 def extract_params(net):
-    return {
-        g.name: net._masters[g.name].astype(np.float64)
-        for g in net.groups
-    }
+    return {name: t.astype(np.float64) for name, t in tensors(net).items()}
 
 
 def replica_loss(net, params, x, y):
@@ -96,8 +107,8 @@ def test_gradcheck_deep_stack():
 def test_softmax_ce_micro_example():
     # two logits, hand-computed cross entropy
     net = DenseNet([2, 2], seed=0)
-    net._by_name["head.weight"].master_w[:] = np.eye(2, dtype=np.float32).reshape(-1)
-    net._by_name["head.bias"].master_w[:] = 0.0
+    group(net, "head.weight").master_w[:] = np.eye(2, dtype=np.float32).reshape(-1)
+    group(net, "head.bias").master_w[:] = 0.0
     x = np.array([[2.0, 0.0]], dtype=np.float32)
     loss = net.forward_backward(x, np.array([0]))
     assert loss == pytest.approx(math.log(1 + math.exp(-2.0)), rel=1e-6)
@@ -152,7 +163,7 @@ def test_running_stats_track_batch():
     x = (rng.standard_normal((16, 3)) * 2 + 1).astype(np.float32)
     y = rng.integers(0, 2, 16)
     assert np.array_equal(net.running[0][0], np.zeros(4, np.float32))
-    W = net._by_name["layer0.weight"].master_w.reshape(3, 4)
+    W = group(net, "layer0.weight").master_w.reshape(3, 4)
     z = x @ W
     for _ in range(60):
         net.forward_backward(x, y)
@@ -164,12 +175,12 @@ def test_mixed_mode_exact_on_half_grid():
     # powers of two with tiny sums stay exact through half precision,
     # so the mixed forward must agree bitwise
     net = DenseNet([2, 2, 2], seed=0)
-    net._by_name["layer0.weight"].master_w[:] = np.array(
+    group(net, "layer0.weight").master_w[:] = np.array(
         [[1.0, 0.0], [0.0, 0.5]], np.float32).reshape(-1)
-    net._by_name["layer0.bias"].master_w[:] = 0.0
-    net._by_name["head.weight"].master_w[:] = np.array(
+    group(net, "layer0.bias").master_w[:] = 0.0
+    group(net, "head.weight").master_w[:] = np.array(
         [[0.25, 0.0], [0.0, 2.0]], np.float32).reshape(-1)
-    net._by_name["head.bias"].master_w[:] = 0.0
+    group(net, "head.bias").master_w[:] = 0.0
     net.round_weights()
     x = np.array([[1.0, 2.0]], dtype=np.float32)
     assert np.array_equal(net.predict(x, mixed=True), net.predict(x, mixed=False))
@@ -177,7 +188,7 @@ def test_mixed_mode_exact_on_half_grid():
 
 def test_mixed_mode_reads_working_copies():
     net = DenseNet([2, 2], seed=0)
-    w = net._by_name["head.weight"]
+    w = group(net, "head.weight")
     w.master_w[:] = 0.1  # not representable in half precision
     net.round_weights()
     x = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -296,11 +307,30 @@ def test_group_arrays_are_views_of_the_flat_vectors(use_bn):
                           (net.velocity, g.velocity)):
             assert np.shares_memory(arr, flat)
             assert arr.ctypes.data == flat[lo:hi].ctypes.data and arr.size == hi - lo
-        assert np.shares_memory(net._masters[g.name], g.master_w)
         lo = hi
     assert lo == net.master.size == net.grad.size == net.velocity.size
     net.grad[:] = np.arange(net.grad.size)
     assert np.array_equal(flat_of(g.grad for g in net.groups), net.grad)
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_layer_views_are_shaped_views_of_the_groups(use_bn):
+    # the passes read and write the groups' memory through per-layer lists
+    sizes = [5, 7, 6, 3]
+    net = DenseNet(sizes, use_bn=use_bn, seed=2)
+    groups = iter(net.groups)
+    for i, (masters, roundings, grads) in enumerate(
+            zip(net._masters, net._roundings, net._grads, strict=True)):
+        shapes = [(sizes[i], sizes[i + 1])]
+        shapes += [(sizes[i + 1],)] * (2 if use_bn and i < net.depth - 1 else 1)
+        assert [m.shape for m in masters] == shapes
+        for master, rounding, grad in zip(masters, roundings, grads, strict=True):
+            g = next(groups)
+            for view, flat in ((master, g.master_w), (rounding, net.rounded[g.name]),
+                               (grad, g.grad)):
+                assert view.shape == master.shape and view.flags.c_contiguous
+                assert view.ctypes.data == flat.ctypes.data and view.size == flat.size
+    assert next(groups, None) is None
 
 
 @pytest.mark.parametrize("use_bn", [False, True])
@@ -355,3 +385,125 @@ def test_checkpoint_of_the_net_groups_restores_the_flat_vectors(tmp_path):
     assert [g.name for g in loaded] == [g.name for g in net.groups]
     assert flat_of(g.master_w for g in loaded).tobytes() == net.master.tobytes()
     assert flat_of(g.velocity for g in loaded).tobytes() == net.velocity.tobytes()
+
+
+# --- the per-layer loop as first written, kept as an oracle --------------------
+# It looks every tensor up by name and rounds through a helper at each
+# rounding point; the net's loop must give the same bits.
+
+
+def _maybe_round(arr, mixed):
+    return quantize_tensor(arr) if mixed else arr
+
+
+def reference_forward_backward(net, x, y, *, mixed=False, loss_scale=1.0,
+                               collect_stats=None, stats_step=0):
+    params = tensors(net, mixed)
+    grads = {g.name: g.grad for g in net.groups}
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    B = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _maybe_round(x, mixed)
+        cache = []
+        for i in range(net.depth - 1):
+            W = params[f"layer{i}.weight"]
+            z = _maybe_round(a @ W, mixed)
+            if net.use_bn:
+                gamma = params[f"layer{i}.bn_gamma"]
+                beta = params[f"layer{i}.bn_beta"]
+                mean = z.mean(axis=0)
+                var = z.var(axis=0)
+                invstd = np.float32(1.0) / np.sqrt(var + net.bn_eps)
+                xhat = (z - mean) * invstd
+                pre = _maybe_round(gamma * xhat + beta, mixed)
+                m = net.bn_momentum
+                net.running[i][0] = (1 - m) * net.running[i][0] + m * mean
+                net.running[i][1] = (1 - m) * net.running[i][1] + m * var
+            else:
+                pre = _maybe_round(z + params[f"layer{i}.bias"], mixed)
+                xhat = invstd = gamma = None
+            mask = pre > 0
+            out = np.where(mask, pre, np.float32(0.0))
+            cache.append((a, W, xhat, invstd, gamma, mask))
+            a = out
+            if collect_stats is not None:
+                collect_stats.append(_stats_record(stats_step, f"layer{i}", out))
+
+        W_head = params["head.weight"]
+        logits = _maybe_round(a @ W_head + params["head.bias"], mixed)
+        if collect_stats is not None:
+            collect_stats.append(_stats_record(stats_step, "head", logits))
+        loss, dlogits = _loss_and_grad(net.loss, logits, y)
+        d = _maybe_round(dlogits * np.float32(loss_scale), mixed)
+        grads["head.weight"][:] = (a.T @ d).reshape(-1)
+        grads["head.bias"][:] = d.sum(axis=0)
+        d = _maybe_round(d @ W_head.T, mixed)
+        for i in reversed(range(net.depth - 1)):
+            a_in, W, xhat, invstd, gamma, mask = cache[i]
+            d = np.where(mask, d, np.float32(0.0))
+            if net.use_bn:
+                grads[f"layer{i}.bn_gamma"][:] = (d * xhat).sum(axis=0)
+                grads[f"layer{i}.bn_beta"][:] = d.sum(axis=0)
+                dxhat = d * gamma
+                d = (invstd / np.float32(B)) * (
+                    np.float32(B) * dxhat
+                    - dxhat.sum(axis=0)
+                    - xhat * (dxhat * xhat).sum(axis=0)
+                )
+            else:
+                grads[f"layer{i}.bias"][:] = d.sum(axis=0)
+            grads[f"layer{i}.weight"][:] = (a_in.T @ d).reshape(-1)
+            if i > 0:
+                d = _maybe_round(d @ W.T, mixed)
+    return float(loss)
+
+
+def reference_predict(net, x, *, mixed=False):
+    params = tensors(net, mixed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _maybe_round(np.ascontiguousarray(x, dtype=np.float32), mixed)
+        for i in range(net.depth - 1):
+            z = _maybe_round(a @ params[f"layer{i}.weight"], mixed)
+            if net.use_bn:
+                rm, rv = net.running[i]
+                xhat = (z - rm) / np.sqrt(rv + net.bn_eps)
+                pre = _maybe_round(params[f"layer{i}.bn_gamma"] * xhat
+                                   + params[f"layer{i}.bn_beta"], mixed)
+            else:
+                pre = _maybe_round(z + params[f"layer{i}.bias"], mixed)
+            a = np.maximum(pre, np.float32(0.0))
+        return _maybe_round(a @ params["head.weight"] + params["head.bias"], mixed)
+
+
+def bits(arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("sizes,batch", [([6, 9, 4], 8), ([16] * 5 + [4], 8),
+                                         ([7, 1, 5, 2], 3), ([32, 128, 128, 8], 32)])
+@pytest.mark.parametrize("use_bn", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
+def test_layer_loop_matches_the_reference_bitwise(sizes, batch, use_bn, mixed, loss):
+    # 2**24 overflows binary16 in the scaled backward pass of mixed runs,
+    # so the non-finite gradients must match bit for bit too
+    seed = sum(sizes) + batch + 2 * use_bn + mixed
+    x, labels = make_synthetic_dataset(batch, sizes[0], max(sizes[-1], 2), seed=seed)
+    y = (labels % sizes[-1] if loss == "softmax_ce"
+         else np.random.default_rng(seed).standard_normal((batch, sizes[-1])))
+    net, ref = (DenseNet(sizes, use_bn=use_bn, loss=loss, seed=seed) for _ in range(2))
+    overflowed = False
+    for step, loss_scale in enumerate((1.0, 1024.0, 2.0 ** 24)):
+        got_stats, want_stats = [], []
+        got = net.forward_backward(x, y, mixed=mixed, loss_scale=loss_scale,
+                                   collect_stats=got_stats, stats_step=step)
+        want = reference_forward_backward(ref, x, y, mixed=mixed, loss_scale=loss_scale,
+                                          collect_stats=want_stats, stats_step=step)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+        assert net.grad.tobytes() == ref.grad.tobytes()
+        assert bits(sum(net.running.values(), [])) == bits(sum(ref.running.values(), []))
+        assert got_stats == want_stats
+        overflowed |= not np.isfinite(net.grad).all()
+        assert (net.predict(x, mixed=mixed).tobytes()
+                == reference_predict(ref, x, mixed=mixed).tobytes())
+    assert overflowed == mixed

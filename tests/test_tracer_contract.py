@@ -1,15 +1,18 @@
-"""The benchmark's layer tracer still finds every name it wraps.
+"""The benchmark's layer tracer and step clock still fit the program.
 
 ``bench/layertrace.py`` rebinds public gradsync functions by identity and
-raises ``nothing to wrap`` when one is missing, so a change under ``src/``
-that drops or renames such a name would otherwise surface only in a
-traced benchmark run.
+raises ``nothing to wrap`` when one is missing, and its ``StepClock``
+starts a step on every ``workers``-th ``DenseNet.forward_backward`` call.
+A change under ``src/`` that drops or renames a wrapped name, or runs the
+workers in some other number of calls, would otherwise surface only in a
+benchmark run.
 """
 
 from pathlib import Path
 
 import gradsync
-from gradsync.experiment import preset_config, run_experiment
+from gradsync.experiment import ExperimentConfig, preset_config, run_experiment
+from gradsync.toymodel import DenseNet
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +37,27 @@ def test_layer_tracer_wraps_and_restores_gradsync(tmp_path, monkeypatch):
     assert tracer.sample_checks
     failed = [check for check in tracer.sample_checks if not check[1]]
     assert not failed, failed
+
+
+def test_every_step_is_workers_forward_backward_calls(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    # importing run pins these BLAS variables; monkeypatch restores them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    from run import WORKLOADS
+
+    configs = {"smoke": preset_config("smoke")}
+    configs.update((name, ExperimentConfig(seed=1, **workload["config"]))
+                   for name, workload in WORKLOADS.items())
+    calls = []
+    forward_backward = DenseNet.forward_backward
+
+    def counted(net, *args, **kwargs):
+        calls.append(net)
+        return forward_backward(net, *args, **kwargs)
+
+    monkeypatch.setattr(DenseNet, "forward_backward", counted)
+    for name, cfg in configs.items():
+        calls.clear()
+        run_experiment(cfg, out_root=tmp_path / name)
+        assert len(calls) == cfg.steps * cfg.workers, name
