@@ -10,7 +10,6 @@ from .experiment import ExperimentConfig, preset_config, run_experiment
 from .fusion import FusedBatch, FusionBuffer, unpack
 from .halfprec import (
     LossScale,
-    apply_loss_scale,
     f16_to_f32,
     f32_to_f16,
     quantize_tensor,
@@ -44,7 +43,6 @@ __all__ = [
     "Schedule",
     "TcpCluster",
     "Topology",
-    "apply_loss_scale",
     "choose_algorithm",
     "f16_to_f32",
     "f32_to_f16",

@@ -26,7 +26,7 @@ once, so the only binary16 rounding is the inputs' and the result's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -83,30 +83,29 @@ class Round:
 
     ``transfers`` is an (n, 3) int64 array of sender, receiver,
     byte_count rows.  The round keeps its own read-only copy, so a
-    schedule can be shared and the caller's array is left alone.
+    schedule can be shared and the caller's array is left alone.  Its
+    largest and total byte counts are taken once, as Python ints, so
+    costing a cached schedule runs no numpy reductions.
     """
 
     phase: str
     transfers: np.ndarray
+    max_bytes: int = field(init=False, repr=False)
+    total_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.array(self.transfers, dtype=np.int64).reshape(-1, 3)
         t.flags.writeable = False
         object.__setattr__(self, "transfers", t)
+        nbytes = t[:, 2]
+        object.__setattr__(self, "max_bytes", int(nbytes.max()) if len(t) else 0)
+        object.__setattr__(self, "total_bytes", int(nbytes.sum()) if len(t) else 0)
 
     def __eq__(self, other):
         if not isinstance(other, Round):
             return NotImplemented
         return self.phase == other.phase and np.array_equal(self.transfers,
                                                              other.transfers)
-
-    @property
-    def max_bytes(self) -> int:
-        return int(self.transfers[:, 2].max()) if len(self.transfers) else 0
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.transfers[:, 2].sum()) if len(self.transfers) else 0
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Deterministic data-parallel training runs with modeled communication.
 
-A run shards each batch across simulated workers and copies worker w's
-flat gradient vector, ``net.grad``, into row w of one (workers x
-elements) matrix per step.  The fusion buckets are column slices of that
-matrix, planned once per run from the parameter layout and the
-threshold; each bucket is all-reduced with its size-based algorithm
-choice, its mean lands straight back in ``net.grad``, and the shared
-optimizer step is applied to one replica.  Communication time comes from
-the alpha-beta cost model, never the wall clock, so two runs with the
-same seed produce byte-identical metrics files.  Artifacts land in a
-fresh directory per run: metrics.csv, fusion_trace.jsonl,
-activations.jsonl, config.json, and report.json.
+``run_experiment`` claims a fresh run directory and goes prepare, step,
+write.  ``_Run(cfg)`` prepares: the data, the net, the optimizer and the
+bucket plan, whose cost it models once, so every step reports the same
+``comm_time`` and ``wire_bytes``.  ``_step`` runs each worker's pass on
+its shard and one ``reduce(rows, algorithm)`` per bucket, which returns
+rank 0's mean, then the loss-scale check and the optimizer step, and
+returns the metrics.csv row.  ``reduce`` alone knows the transport: in
+memory, or a ``TcpCluster``.  ``_write`` writes metrics.csv,
+fusion_trace.jsonl, activations.jsonl, config.json and report.json.
+Time comes from the cost model, never the wall clock, so one seed gives
+identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import accumulate, count
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .collectives import (
     Topology,
+    _schedule,
     choose_algorithm,
     hierarchical_allreduce,
     hierarchical_schedule,
@@ -39,6 +41,7 @@ from .fusion import FusionBuffer, trace_record
 from .halfprec import LossScale, unscale_gradients
 from .lars import LarsConfig, Schedule, lars_step
 from .netsim import LinkModel, simulate
+from .tcp import TcpCluster
 from .toymodel import DenseNet, evaluate, make_synthetic_dataset
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_experiment", "compare_runs",
@@ -66,7 +69,6 @@ class ExperimentConfig:
     batch_size: int = 64
     steps: int = 40
     use_bn: bool = False
-    loss: str = "softmax_ce"
     # optimizer
     base_lr: float = 0.1
     schedule: str = "constant"
@@ -120,8 +122,6 @@ class ExperimentConfig:
             bad.append("batch norm needs at least 2 samples per worker shard")
         if self.steps < 1:
             bad.append("steps must be >= 1")
-        if self.loss not in ("softmax_ce", "mse"):
-            bad.append(f"loss must be softmax_ce or mse, got {self.loss!r}")
         if self.schedule not in ("constant", "poly"):
             bad.append(f"schedule must be constant or poly, got {self.schedule!r}")
         elif self.schedule == "poly":
@@ -296,6 +296,150 @@ def stepcount_table() -> dict:
 # --- the run itself ---------------------------------------------------------
 
 
+class _Run:
+    """One run, prepared before step 0: what every step reads, and what the
+    steps leave (``stats`` and ``trace`` records, the last ``grads``)."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.x, self.y = make_synthetic_dataset(cfg.samples, cfg.features, cfg.classes,
+                                                seed=cfg.seed)
+        self.net = net = DenseNet([cfg.features, *cfg.hidden, cfg.classes],
+                                  use_bn=cfg.use_bn, seed=cfg.seed)
+        for g in net.groups:
+            g.lars_enabled = g.lars_enabled and cfg.lars_on
+            g.decay_exempt = g.decay_exempt and cfg.decay_exempt_bias_bn
+        self.group_ends = list(accumulate((g.size for g in net.groups), initial=0))
+
+        sched = Schedule(base_lr=cfg.base_lr, kind=cfg.schedule,
+                         warmup_steps=cfg.warmup_steps, total_steps=cfg.steps,
+                         end_lr=cfg.end_lr, power=cfg.power)
+        self.opt_cfg = LarsConfig(schedule=sched, eta=cfg.eta, epsilon=cfg.epsilon,
+                                  weight_decay=cfg.weight_decay, momentum=cfg.momentum)
+        self.scale = LossScale(scale=cfg.loss_scale, policy=cfg.scale_policy)
+        link = LinkModel(alpha=cfg.alpha, beta_inv=cfg.bandwidth,
+                         intra_group_alpha=cfg.intra_alpha,
+                         intra_group_beta_inv=cfg.intra_bandwidth)
+
+        # (lo, hi, batch, algorithm) per bucket, columns lo:hi of net.grad, each
+        # costed from the cached schedule that its all-reduces will run
+        fuser = FusionBuffer(cfg.fusion_threshold)
+        planned = [fuser.enqueue(g.name, g.grad) for g in net.groups] + [fuser.flush()]
+        planned = [batch for batch in planned if batch is not None]
+        bounds = list(accumulate((batch.payload.size for batch in planned), initial=0))
+        self.buckets = [(lo, hi, batch, choose_algorithm(batch.nbytes, cfg.hybrid_eta))
+                        for lo, hi, batch in zip(bounds, bounds[1:], planned)]
+        costs = [simulate(_schedule(algorithm, cfg.workers, cfg.group_size, hi - lo,
+                                    net.grad.itemsize), link)
+                 for lo, hi, _, algorithm in self.buckets]
+        self.comm_time = sum(cost.total_time for cost in costs)
+        self.wire_bytes = sum(cost.bytes_on_wire for cost in costs)
+        self.stats, self.trace = [], []  # activations.jsonl, fusion_trace.jsonl
+
+
+@contextmanager
+def _reducer(cfg: ExperimentConfig):
+    """Yields ``reduce(rows, algorithm)``, which returns rank 0's mean of the
+    rows, in memory or on a ``TcpCluster`` that the context closes."""
+    topo = Topology(cfg.workers, cfg.group_size)
+    if cfg.transport == "tcp" and cfg.workers > 1:
+        with TcpCluster(cfg.workers) as cluster:
+            def reduce(rows, algorithm):
+                return cluster.allreduce(rows, algorithm=algorithm, k=topo.k, op="mean",
+                                         result_rank=0)[0][0]
+            yield reduce
+    else:
+        def reduce(rows, algorithm):
+            allreduce = hierarchical_allreduce if algorithm == "hierarchical" else ring_allreduce
+            return allreduce(rows, topo, op="mean")[0][0]
+        yield reduce
+
+
+def _step(run: _Run, step: int, reduce) -> dict:
+    """One training step; returns its metrics.csv row."""
+    cfg, net, scale = run.cfg, run.net, run.scale
+    take = (np.arange(cfg.batch_size) + step * cfg.batch_size) % cfg.samples
+    bx, by = run.x[take], run.y[take]
+    shard_len = cfg.batch_size // cfg.workers
+    step_scale = scale.scale
+    collect = run.stats if step % 10 == 0 else None
+    shard_losses = []
+    # A fresh matrix every step: the all-reduce inputs are views of it, and
+    # a caller that wraps the all-reduce may keep them.  The run holds it till
+    # the next one exists; freed at step end, its pages go back to the OS.
+    grads = run.grads = np.empty((cfg.workers, net.grad.size), dtype=np.float32)
+    for w in range(cfg.workers):
+        sl = slice(w * shard_len, (w + 1) * shard_len)
+        shard_losses.append(net.forward_backward(
+            bx[sl], by[sl], mixed=cfg.mixed, loss_scale=step_scale,
+            collect_stats=collect if w == 0 else None, stats_step=step))
+        grads[w] = net.grad
+
+    # Overflowed gradients travel through the collective on steps the
+    # scale policy is about to skip, so non-finite sums are expected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, (lo, hi, batch, algorithm) in enumerate(run.buckets):
+            net.grad[lo:hi] = reduce(list(grads[:, lo:hi]), algorithm)
+            run.trace.append(trace_record(step, b, batch))
+
+    applied = scale.update(net.grad)
+    grad_norm = 0.0
+    if applied:
+        net.grad[:] = unscale_gradients(net.grad, step_scale)
+        # one float64 widening; the per-group dots still add up in group order
+        grad64 = net.grad.astype(np.float64)
+        grad_norm = float(np.sqrt(sum(float(np.dot(grad64[lo:hi], grad64[lo:hi]))
+                                      for lo, hi in zip(run.group_ends, run.group_ends[1:]))))
+        applied = lars_step(net.groups, run.opt_cfg, step)
+        if applied and cfg.mixed:
+            net.round_weights()
+
+    return {
+        "step": step,
+        "loss": f"{float(np.mean(shard_losses)):.9g}",
+        "scale": f"{step_scale:.9g}",
+        "skipped": 0 if applied else 1,
+        "grad_norm": f"{grad_norm:.9g}",
+        "algorithm": "+".join(sorted({a for _, _, _, a in run.buckets})),
+        "comm_time": f"{run.comm_time:.9g}",
+        "wire_bytes": run.wire_bytes,
+    }
+
+
+def _write(run_dir: Path, config_hash: str, run: _Run, rows: list, final: dict) -> dict:
+    """Write the five artifacts; returns the report."""
+    cfg = run.cfg
+    algorithms = [a for _, _, _, a in run.buckets]
+    report = {
+        "config": cfg.to_dict(),
+        "config_hash": config_hash,
+        "steps_run": cfg.steps,
+        "skipped_steps": sum(row["skipped"] for row in rows),
+        "final_loss": final["loss"],
+        "final_accuracy": final["accuracy"],
+        "loss_scale_end": run.scale.scale,
+        "algorithm_batches": {a: algorithms.count(a) * cfg.steps
+                              for a in ("ring", "hierarchical")},
+        "modeled_comm_seconds": run.comm_time * cfg.steps,
+        "wire_bytes": run.wire_bytes * cfg.steps,
+        "run_dir": str(run_dir),
+    }
+    with open(run_dir / "metrics.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    for name, records in (("fusion_trace.jsonl", run.trace),
+                          ("activations.jsonl", run.stats)):
+        with open(run_dir / name, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
+    (run_dir / "config.json").write_text(
+        json.dumps({"config": cfg.to_dict(), "hash": config_hash},
+                   indent=2) + "\n")
+    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    return report
+
+
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
     cfg.validate()
     out_base = Path(out_root if out_root is not None else cfg.out_dir)
@@ -311,156 +455,11 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
         except FileExistsError:
             pass
 
-    x, y = make_synthetic_dataset(cfg.samples, cfg.features, cfg.classes,
-                                  seed=cfg.seed)
-    net = DenseNet([cfg.features, *cfg.hidden, cfg.classes],
-                   use_bn=cfg.use_bn, loss=cfg.loss, seed=cfg.seed)
-    if not cfg.lars_on:
-        for g in net.groups:
-            g.lars_enabled = False
-    if not cfg.decay_exempt_bias_bn:
-        for g in net.groups:
-            g.decay_exempt = False
-
-    sched = Schedule(base_lr=cfg.base_lr, kind=cfg.schedule,
-                     warmup_steps=cfg.warmup_steps, total_steps=cfg.steps,
-                     end_lr=cfg.end_lr, power=cfg.power)
-    opt_cfg = LarsConfig(schedule=sched, eta=cfg.eta, epsilon=cfg.epsilon,
-                         weight_decay=cfg.weight_decay, momentum=cfg.momentum)
-    scale = LossScale(scale=cfg.loss_scale, policy=cfg.scale_policy)
-    topo = Topology(cfg.workers, cfg.group_size)
-    link = LinkModel(alpha=cfg.alpha, beta_inv=cfg.bandwidth,
-                     intra_group_alpha=cfg.intra_alpha,
-                     intra_group_beta_inv=cfg.intra_bandwidth)
-
-    # The bucket plan, fixed by the parameter layout and the threshold:
-    # bucket b holds columns bounds[b]:bounds[b + 1] of the flat gradient.
-    fuser = FusionBuffer(cfg.fusion_threshold)
-    planned = [fuser.enqueue(g.name, g.grad) for g in net.groups] + [fuser.flush()]
-    planned = [batch for batch in planned if batch is not None]
-    bounds = list(accumulate((batch.payload.size for batch in planned), initial=0))
-    algorithms = [choose_algorithm(batch.nbytes, cfg.hybrid_eta) for batch in planned]
-    step_algos = "+".join(sorted(set(algorithms)))
-
-    cluster = None
-    if cfg.transport == "tcp" and cfg.workers > 1:
-        from .tcp import TcpCluster
-        cluster = TcpCluster(cfg.workers)
-
-    shard_len = cfg.batch_size // cfg.workers
-    group_ends = list(accumulate((g.size for g in net.groups), initial=0))
-    skipped = 0
-    costs = []  # each bucket's SimReport, from the schedule of its step-0 all-reduce
-    comm_total = 0.0
-    wire_total = 0
-    stats_records: list[dict] = []
-    trace_records: list[dict] = []
-    metrics_rows: list[dict] = []
-
-    try:
-        for step in range(cfg.steps):
-            take = (np.arange(cfg.batch_size) + step * cfg.batch_size) % cfg.samples
-            bx, by = x[take], y[take]
-
-            step_scale = scale.scale
-            shard_losses = []
-            collect = stats_records if step % 10 == 0 else None
-            # A fresh matrix every step: the all-reduce inputs are views of it,
-            # and a caller that wraps the all-reduce may keep them.
-            grads = np.empty((cfg.workers, net.grad.size), dtype=np.float32)
-            for w in range(cfg.workers):
-                sl = slice(w * shard_len, (w + 1) * shard_len)
-                loss = net.forward_backward(
-                    bx[sl], by[sl], mixed=cfg.mixed, loss_scale=step_scale,
-                    collect_stats=collect if w == 0 else None, stats_step=step)
-                shard_losses.append(loss)
-                grads[w] = net.grad
-
-            for b, (lo, hi, algorithm) in enumerate(
-                    zip(bounds, bounds[1:], algorithms)):
-                rows = list(grads[:, lo:hi])
-                # Overflowed gradients travel through the collective on steps the
-                # scale policy is about to skip, so non-finite sums are expected.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if cluster is not None:
-                        results, schedule = cluster.allreduce(
-                            rows, algorithm=algorithm, k=topo.k, op="mean",
-                            result_rank=0)
-                    elif algorithm == "hierarchical":
-                        results, schedule = hierarchical_allreduce(
-                            rows, topo, op="mean")
-                    else:
-                        results, schedule = ring_allreduce(rows, topo, op="mean")
-                net.grad[lo:hi] = results[0]
-                if step == 0:
-                    costs.append(simulate(schedule, link))
-                trace_records.append(trace_record(step, b, planned[b]))
-            step_comm = sum(cost.total_time for cost in costs)
-            step_wire = sum(cost.bytes_on_wire for cost in costs)
-            comm_total += step_comm
-            wire_total += step_wire
-
-            applied = scale.update(net.grad)
-            grad_norm = 0.0
-            if applied:
-                net.grad[:] = unscale_gradients(net.grad, step_scale)
-                # one float64 widening; the per-group dots still add up
-                # in group order
-                grad64 = net.grad.astype(np.float64)
-                grad_norm = float(np.sqrt(sum(
-                    float(np.dot(grad64[lo:hi], grad64[lo:hi]))
-                    for lo, hi in zip(group_ends, group_ends[1:]))))
-                applied = lars_step(net.groups, opt_cfg, step)
-                if applied and cfg.mixed:
-                    net.round_weights()
-            if not applied:
-                skipped += 1
-
-            metrics_rows.append({
-                "step": step,
-                "loss": f"{float(np.mean(shard_losses)):.9g}",
-                "scale": f"{step_scale:.9g}",
-                "skipped": 0 if applied else 1,
-                "grad_norm": f"{grad_norm:.9g}",
-                "algorithm": step_algos,
-                "comm_time": f"{step_comm:.9g}",
-                "wire_bytes": step_wire,
-            })
-    finally:
-        if cluster is not None:
-            cluster.close()
-
-    final = evaluate(net, x, y, mixed=cfg.mixed)
-    report = {
-        "config": cfg.to_dict(),
-        "config_hash": config_hash,
-        "steps_run": cfg.steps,
-        "skipped_steps": skipped,
-        "final_loss": final["loss"],
-        "final_accuracy": final["accuracy"],
-        "loss_scale_end": scale.scale,
-        "algorithm_batches": {a: algorithms.count(a) * cfg.steps
-                              for a in ("ring", "hierarchical")},
-        "modeled_comm_seconds": comm_total,
-        "wire_bytes": wire_total,
-        "run_dir": str(run_dir),
-    }
-
-    with open(run_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(metrics_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(metrics_rows)
-    with open(run_dir / "fusion_trace.jsonl", "w") as fh:
-        for rec in trace_records:
-            fh.write(json.dumps(rec) + "\n")
-    with open(run_dir / "activations.jsonl", "w") as fh:
-        for rec in stats_records:
-            fh.write(json.dumps(rec) + "\n")
-    (run_dir / "config.json").write_text(
-        json.dumps({"config": cfg.to_dict(), "hash": config_hash},
-                   indent=2) + "\n")
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    return report
+    run = _Run(cfg)
+    with _reducer(cfg) as reduce:
+        rows = [_step(run, step, reduce) for step in range(cfg.steps)]
+    final = evaluate(run.net, run.x, run.y, mixed=cfg.mixed)
+    return _write(run_dir, config_hash, run, rows, final)
 
 
 def compare_runs(dir_a, dir_b) -> dict:

@@ -30,7 +30,6 @@ __all__ = [
     "quantize_tensor",
     "describe_half",
     "LossScale",
-    "apply_loss_scale",
     "unscale_gradients",
 ]
 
@@ -210,12 +209,6 @@ class LossScale:
             self.scale *= self.growth_factor
             self.clean_steps = 0
         return True
-
-
-def apply_loss_scale(loss: float, s) -> float:
-    """Multiply the loss by the current scale (use before backward)."""
-    scale = s.scale if isinstance(s, LossScale) else float(s)
-    return loss * scale
 
 
 def unscale_gradients(g: np.ndarray, s) -> np.ndarray:

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["KINDS", "Schedule", "LarsConfig", "ParamGroup", "make_param_group",
-           "lars_local_lr", "lars_step", "zero_grads",
-           "save_checkpoint", "load_checkpoint"]
+           "lars_local_lr", "lars_step", "save_checkpoint", "load_checkpoint"]
 
 KINDS = ("weight", "bias", "bn_beta", "bn_gamma")
 
@@ -151,11 +150,6 @@ def lars_local_lr(w: np.ndarray, g: np.ndarray, eta: float,
     if w_norm == 0.0 or denom == 0.0:
         return 1.0
     return eta * w_norm / denom
-
-
-def zero_grads(groups: list[ParamGroup]) -> None:
-    for group in groups:
-        group.grad[:] = 0.0
 
 
 def lars_step(groups: list[ParamGroup], cfg: LarsConfig, step: int) -> bool:

@@ -1,7 +1,8 @@
 """A small dense network for exercising the optimizer end to end.
 
 Hidden blocks are dense -> optional batch norm -> relu; the head is a
-plain affine map.  The net owns one flat layout: three float32 vectors,
+plain affine map, trained with softmax cross-entropy on integer class
+labels.  The net owns one flat layout: three float32 vectors,
 ``master``, ``grad`` and ``velocity``, hold every parameter tensor back
 to back in ``groups`` order, and each group's ``master_w``, ``grad`` and
 ``velocity`` are slice views of them.  At construction the net also
@@ -35,7 +36,6 @@ from .lars import ParamGroup
 
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
 
-LOSSES = ("softmax_ce", "mse")
 # one scalar for every ReLU and its adjoint: a fresh np.float32(0.0) per
 # np.where call costs more than the where itself on small layers
 _ZERO = np.float32(0.0)
@@ -48,16 +48,13 @@ def _same(arr: np.ndarray) -> np.ndarray:
 class DenseNet:
     """Multi-layer perceptron over flat float32 feature vectors."""
 
-    def __init__(self, sizes, *, use_bn: bool = False, loss: str = "softmax_ce",
-                 seed: int = 0, bn_eps: float = 1e-5, bn_momentum: float = 0.1):
+    def __init__(self, sizes, *, use_bn: bool = False, seed: int = 0,
+                 bn_eps: float = 1e-5, bn_momentum: float = 0.1):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"need at least input and output sizes, got {sizes}")
-        if loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
         self.sizes = sizes
         self.use_bn = use_bn
-        self.loss = loss
         self.bn_eps = np.float32(bn_eps)
         self.bn_momentum = np.float32(bn_momentum)
         self.groups: list[ParamGroup] = []
@@ -174,7 +171,7 @@ class DenseNet:
         if collect_stats is not None:
             collect_stats.append(_stats_record(stats_step, "head", logits))
 
-        loss, d = _loss_and_grad(self.loss, logits, y)
+        loss, d = _loss_and_grad(logits, y)
         d *= np.float32(loss_scale)
         d = q(d)
 
@@ -240,30 +237,22 @@ def _stats_record(step: int, layer: str, values: np.ndarray) -> dict:
     }
 
 
-def _loss_and_grad(kind: str, logits: np.ndarray, y):
-    """The float32 loss and its gradient in the logits, a fresh array the
-    caller may scale in place."""
+def _loss_and_grad(logits: np.ndarray, y):
+    """The float32 softmax cross-entropy of integer class labels and its
+    gradient in the logits, a fresh array the caller may scale in place."""
     B = logits.shape[0]
-    if kind == "softmax_ce":
-        y = np.asarray(y)
-        if y.shape != (B,):
-            raise ValueError(f"labels must be shape ({B},), got {y.shape}")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_probs = shifted - log_z
-        loss = -log_probs[np.arange(B), y].mean()
-        probs = np.exp(log_probs)
-        dlogits = probs
-        dlogits[np.arange(B), y] -= np.float32(1.0)
-        dlogits /= np.float32(B)
-        return np.float32(loss), dlogits.astype(np.float32, copy=False)
-    target = np.ascontiguousarray(y, dtype=np.float32)
-    if target.shape != logits.shape:
-        raise ValueError(f"targets must match logits shape {logits.shape}")
-    diff = logits - target
-    loss = np.float32((diff.astype(np.float64) ** 2).mean())
-    dlogits = (np.float32(2.0) / np.float32(diff.size)) * diff
-    return loss, dlogits
+    y = np.asarray(y)
+    if y.shape != (B,):
+        raise ValueError(f"labels must be shape ({B},), got {y.shape}")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_z
+    loss = -log_probs[np.arange(B), y].mean()
+    probs = np.exp(log_probs)
+    dlogits = probs
+    dlogits[np.arange(B), y] -= np.float32(1.0)
+    dlogits /= np.float32(B)
+    return np.float32(loss), dlogits.astype(np.float32, copy=False)
 
 
 def make_synthetic_dataset(n_samples: int, n_features: int, n_classes: int,
@@ -284,12 +273,9 @@ def make_synthetic_dataset(n_samples: int, n_features: int, n_classes: int,
 
 
 def evaluate(net: DenseNet, x, y, *, mixed: bool = False) -> dict:
-    """Loss plus accuracy (classification) on held-out data."""
+    """Loss plus accuracy on held-out data."""
     logits = net.predict(x, mixed=mixed)
     with np.errstate(over="ignore", invalid="ignore"):
-        if net.loss == "softmax_ce":
-            loss, _ = _loss_and_grad("softmax_ce", logits, y)
-            hits = (logits.argmax(axis=1) == np.asarray(y)).mean()
-            return {"loss": float(loss), "accuracy": float(hits)}
-        loss, _ = _loss_and_grad("mse", logits, y)
-    return {"loss": float(loss), "accuracy": None}
+        loss, _ = _loss_and_grad(logits, y)
+        hits = (logits.argmax(axis=1) == np.asarray(y)).mean()
+    return {"loss": float(loss), "accuracy": float(hits)}

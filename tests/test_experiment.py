@@ -184,6 +184,23 @@ def test_each_allreduce_schedule_is_built_once(tmp_path, monkeypatch, make_cfg):
     assert len(builds) < len(trace) * len(reports)  # bucket all-reduces made
 
 
+@pytest.mark.parametrize("make_cfg", [
+    lambda: preset_config("smoke"),
+    lambda: ExperimentConfig(**FP32_FUSED),
+], ids=["smoke", "fp32-fused"])
+def test_a_step_does_not_need_step_zero(tmp_path, make_cfg):
+    # the modeled costs are fixed before any step runs, so the last step
+    # run first reports what it reports in a full run
+    cfg = make_cfg()
+    want = read_metrics(run_experiment(cfg, out_root=tmp_path))[-1]
+    run = experiment._Run(cfg)
+    with experiment._reducer(cfg) as reduce:
+        row = experiment._step(run, cfg.steps - 1, reduce)
+    assert float(want["comm_time"]) > 0 and int(want["wire_bytes"]) > 0
+    keys = ("step", "algorithm", "comm_time", "wire_bytes")
+    assert {key: str(row[key]) for key in keys} == {key: want[key] for key in keys}
+
+
 def test_stepcount_table_leaves_the_allreduce_cache_alone():
     before = collectives._schedule.cache_info().currsize
     stepcount_table()

@@ -377,11 +377,6 @@ def test_unscale_power_of_two_exact():
     assert np.array_equal(hp.unscale_gradients(g * np.float32(ls.scale), ls), g)
 
 
-def test_apply_loss_scale():
-    ls = hp.LossScale(scale=1024.0)
-    assert hp.apply_loss_scale(0.5, ls) == 512.0
-
-
 def test_dynamic_policy_backoff_and_growth():
     ls = hp.LossScale(scale=1024.0, growth_interval=3)
     bad = np.array([np.inf], dtype=np.float32)

@@ -19,7 +19,6 @@ from gradsync.lars import (
     load_checkpoint,
     make_param_group,
     save_checkpoint,
-    zero_grads,
 )
 from gradsync.toymodel import DenseNet
 
@@ -281,13 +280,6 @@ def test_master_accumulation_survives_tiny_updates():
     assert np.all(with_master.master_w < 1.0 - 5e-6)
     assert np.all(half_only.master_w == 1.0)
     assert np.all(quantize_tensor(with_master.master_w) == 1.0)
-
-
-def test_zero_grads():
-    g = make_param_group("w", "weight", np.ones(4))
-    g.grad[:] = 3.0
-    zero_grads([g])
-    assert np.array_equal(g.grad, np.zeros(4, np.float32))
 
 
 def test_checkpoint_roundtrip_and_resume(tmp_path):
