@@ -99,6 +99,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    bad = [f"{flag} must be at least 1, got {value}"
+           for flag, value in (("--min-bytes", args.min_bytes),
+                               ("--max-bytes", args.max_bytes),
+                               ("--points", args.points)) if value < 1]
+    if bad:
+        raise ValueError("; ".join(bad))
     link = LinkModel(alpha=args.alpha, beta_inv=args.bandwidth,
                      intra_group_alpha=args.intra_alpha,
                      intra_group_beta_inv=args.intra_bandwidth)

@@ -8,7 +8,9 @@ its shard and one ``reduce(rows, algorithm)`` per bucket, which returns
 rank 0's mean, then the loss-scale check and the optimizer step, and
 returns the metrics.csv row.  ``reduce`` alone knows the transport: in
 memory, or a ``TcpCluster``.  ``_write`` writes metrics.csv,
-fusion_trace.jsonl, activations.jsonl, config.json and report.json.
+fusion_trace.jsonl, activations.jsonl, config.json and report.json; every
+step ships the same buckets, so it renders fusion_trace.jsonl from the
+bucket plan, one line per step and bucket.
 Time comes from the cost model, never the wall clock, so one seed gives
 identical bytes.
 """
@@ -298,7 +300,7 @@ def stepcount_table() -> dict:
 
 class _Run:
     """One run, prepared before step 0: what every step reads, and what the
-    steps leave (``stats`` and ``trace`` records, the last ``grads``)."""
+    steps leave (``stats`` records, the last ``grads``)."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -334,7 +336,7 @@ class _Run:
                  for lo, hi, _, algorithm in self.buckets]
         self.comm_time = sum(cost.total_time for cost in costs)
         self.wire_bytes = sum(cost.bytes_on_wire for cost in costs)
-        self.stats, self.trace = [], []  # activations.jsonl, fusion_trace.jsonl
+        self.stats = []  # activations.jsonl
 
 
 @contextmanager
@@ -378,9 +380,8 @@ def _step(run: _Run, step: int, reduce) -> dict:
     # Overflowed gradients travel through the collective on steps the
     # scale policy is about to skip, so non-finite sums are expected.
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, (lo, hi, batch, algorithm) in enumerate(run.buckets):
+        for lo, hi, _, algorithm in run.buckets:
             net.grad[lo:hi] = reduce(list(grads[:, lo:hi]), algorithm)
-            run.trace.append(trace_record(step, b, batch))
 
     applied = scale.update(net.grad)
     grad_norm = 0.0
@@ -409,9 +410,10 @@ def _step(run: _Run, step: int, reduce) -> dict:
 def _write(run_dir: Path, config_hash: str, run: _Run, rows: list, final: dict) -> dict:
     """Write the five artifacts; returns the report."""
     cfg = run.cfg
+    config = cfg.to_dict()
     algorithms = [a for _, _, _, a in run.buckets]
     report = {
-        "config": cfg.to_dict(),
+        "config": config,
         "config_hash": config_hash,
         "steps_run": cfg.steps,
         "skipped_steps": sum(row["skipped"] for row in rows),
@@ -428,14 +430,17 @@ def _write(run_dir: Path, config_hash: str, run: _Run, rows: list, final: dict) 
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    for name, records in (("fusion_trace.jsonl", run.trace),
-                          ("activations.jsonl", run.stats)):
-        with open(run_dir / name, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+    # A bucket's record differs from step to step only in "step", its first
+    # key: encode the rest once per bucket and prefix each step's number.
+    tails = [json.dumps(trace_record(0, b, batch)).partition(", ")[2] + "\n"
+             for b, (_, _, batch, _) in enumerate(run.buckets)]
+    with open(run_dir / "fusion_trace.jsonl", "w") as fh:
+        fh.writelines(f'{{"step": {step}, {tail}'
+                      for step in range(cfg.steps) for tail in tails)
+    with open(run_dir / "activations.jsonl", "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in run.stats)
     (run_dir / "config.json").write_text(
-        json.dumps({"config": cfg.to_dict(), "hash": config_hash},
-                   indent=2) + "\n")
+        json.dumps({"config": config, "hash": config_hash}, indent=2) + "\n")
     (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 

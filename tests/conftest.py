@@ -1,9 +1,12 @@
 """Fixtures shared by the test modules."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture
@@ -34,3 +37,15 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's ``WORKLOADS`` table, read from ``bench/run.py``, with
+    ``bench/`` on the import path."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    # importing run pins these BLAS variables; monkeypatch restores them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    from run import WORKLOADS
+    return WORKLOADS

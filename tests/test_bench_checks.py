@@ -7,23 +7,15 @@ instead of only in a benchmark run.
 """
 
 import dataclasses
-from pathlib import Path
 
 from gradsync.experiment import ExperimentConfig, run_experiment
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-
-def test_workloads_pass_the_benchmark_run_checks(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    # importing run pins these BLAS variables; monkeypatch restores them
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+def test_workloads_pass_the_benchmark_run_checks(tmp_path, bench_workloads):
     from checks import check_run, check_same_bytes
-    from run import WORKLOADS
 
     results = []
-    for name, workload in WORKLOADS.items():
+    for name, workload in bench_workloads.items():
         cfg = ExperimentConfig(seed=1, **workload["config"])
         report = run_experiment(cfg, out_root=tmp_path / name)
         results += [(name, *check) for check in check_run(cfg, report["run_dir"])]
@@ -33,6 +25,6 @@ def test_workloads_pass_the_benchmark_run_checks(tmp_path, monkeypatch):
             results.append((name, *check_same_bytes(
                 "tcp_equals_sim", report["run_dir"], sim["run_dir"],
                 ("metrics.csv",))))
-    assert len(results) > 5 * len(WORKLOADS)
+    assert len(results) > 5 * len(bench_workloads)
     failed = [r for r in results if not r[2]]
     assert not failed, failed

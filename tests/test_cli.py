@@ -197,6 +197,13 @@ def test_sweep_rejects_non_finite_link_values(capsys, flag):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("flag", ["--points", "--min-bytes", "--max-bytes"])
+def test_sweep_rejects_counts_below_one(capsys, flag):
+    rc, out, err = run_cli(capsys, ["sweep", "--workers", "8", flag, "0"])
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag} must be at least 1, got 0\n"
+
+
 def test_halfprec_inspect_hex(capsys):
     rc, out, _ = run_cli(capsys, ["halfprec", "inspect", "0x3C00"])
     assert rc == 0

@@ -21,6 +21,7 @@ from gradsync.experiment import (
     run_experiment,
     stepcount_table,
 )
+from gradsync.fusion import trace_record
 from gradsync.halfprec import quantize_tensor
 
 
@@ -155,6 +156,56 @@ def test_bucket_plan_and_costs_are_built_once_per_run(tmp_path, monkeypatch):
              for r in read_metrics(report)}
     assert len(costs) == 1
     assert next(iter(costs))[0] == "hierarchical+ring"
+
+
+TRACE_OVERRIDES = {
+    "smoke": [],
+    "smoke-bn": ["use_bn=true"],
+    "one-tensor-per-bucket": ["fusion_threshold=0"],
+    "one-bucket": [f"fusion_threshold={1 << 30}"],
+    "one-step": ["steps=1"],
+}
+
+
+def trace_config(name, bench_workloads):
+    """``smoke`` with the named overrides, or a benchmark workload at seed 1."""
+    if name in bench_workloads:
+        return ExperimentConfig(seed=1, **bench_workloads[name]["config"])
+    return preset_config("smoke", TRACE_OVERRIDES[name])
+
+
+@pytest.mark.parametrize("name", ["smoke", "train-fp32-fused"])
+def test_fusion_trace_encodes_each_bucket_once_per_run(tmp_path, count_calls,
+                                                       bench_workloads, name):
+    # the trace is rendered from the bucket plan, not recorded step by step
+    cfg = trace_config(name, bench_workloads)
+    buckets = len(experiment._Run(cfg).buckets)
+    calls = count_calls(trace_record)["trace_record"]
+    run_experiment(cfg, out_root=tmp_path)
+    assert cfg.steps > 1 and buckets > 1
+    assert len(calls) == buckets
+
+
+@pytest.mark.parametrize("name", [*TRACE_OVERRIDES, "train-fp32-fused"])
+def test_fusion_trace_is_one_record_per_step_and_bucket(tmp_path, bench_workloads, name):
+    # the trace holds the bytes of one json.dumps(trace_record) line per
+    # step and bucket, in step-major, bucket order
+    cfg = trace_config(name, bench_workloads)
+    report = run_experiment(cfg, out_root=tmp_path)
+    batches = [batch for _, _, batch, _ in experiment._Run(cfg).buckets]
+    want = "".join(json.dumps(trace_record(step, b, batch)) + "\n"
+                   for step in range(cfg.steps) for b, batch in enumerate(batches))
+    got = (Path(report["run_dir"]) / "fusion_trace.jsonl").read_text()
+    assert got == want
+    assert got.count("\n") == cfg.steps * len(batches)
+    ids = [tensor for batch in batches for tensor in batch.tensor_ids]
+    if name == "smoke-bn":
+        assert any(t.endswith(".bn_gamma") for t in ids)
+        assert any(t.endswith(".bn_beta") for t in ids)
+    elif name == "one-tensor-per-bucket":
+        assert len(batches) == len(ids) > 1
+    elif name == "one-bucket":
+        assert len(batches) == 1 and len(ids) > 1
 
 
 FP32_FUSED = dict(workers=8, group_size=2, features=16, classes=4,
