@@ -4,10 +4,12 @@
 write.  ``_Run(cfg)`` prepares: the data, the net, the optimizer and the
 bucket plan, whose cost it models once, so every step reports the same
 ``comm_time`` and ``wire_bytes``.  ``_step`` runs each worker's pass on
-its shard and one ``reduce(rows, algorithm)`` per bucket, which returns
-rank 0's mean, then the loss-scale check and the optimizer step, and
-returns the metrics.csv row.  ``reduce`` alone knows the transport: in
-memory, or a ``TcpCluster``.  ``_write`` writes metrics.csv,
+its shard and one ``reduce(grads)``, which all-reduces the gradient
+matrix over the run's buckets and writes rank 0's mean into ``net.grad``,
+then the loss-scale check and the optimizer step, and returns the
+metrics.csv row.  ``reduce`` alone knows the transport: in memory, one
+all-reduce per bucket, or one ``TcpCluster`` collective per step with the
+whole bucket list.  ``_write`` writes metrics.csv,
 fusion_trace.jsonl, activations.jsonl, config.json and report.json; every
 step ships the same buckets, so it renders fusion_trace.jsonl from the
 bucket plan, one line per step and bucket.
@@ -340,20 +342,26 @@ class _Run:
 
 
 @contextmanager
-def _reducer(cfg: ExperimentConfig):
-    """Yields ``reduce(rows, algorithm)``, which returns rank 0's mean of the
-    rows, in memory or on a ``TcpCluster`` that the context closes."""
+def _reducer(run: _Run):
+    """Yields ``reduce(grads)``, which all-reduces the (workers x elems)
+    gradient matrix over the run's buckets and writes rank 0's mean into
+    ``net.grad``: in memory, one all-reduce per bucket, or in one
+    collective per step on a ``TcpCluster`` that the context closes."""
+    cfg, buckets, grad = run.cfg, run.buckets, run.net.grad
     topo = Topology(cfg.workers, cfg.group_size)
     if cfg.transport == "tcp" and cfg.workers > 1:
+        sizes = [(hi - lo, algorithm) for lo, hi, _, algorithm in buckets]
         with TcpCluster(cfg.workers) as cluster:
-            def reduce(rows, algorithm):
-                return cluster.allreduce(rows, algorithm=algorithm, k=topo.k, op="mean",
-                                         result_rank=0)[0][0]
+            def reduce(grads):
+                grad[:] = cluster.allreduce(grads, algorithm=sizes, k=topo.k, op="mean",
+                                            result_rank=0)[0][0]
             yield reduce
     else:
-        def reduce(rows, algorithm):
-            allreduce = hierarchical_allreduce if algorithm == "hierarchical" else ring_allreduce
-            return allreduce(rows, topo, op="mean")[0][0]
+        def reduce(grads):
+            for lo, hi, _, algorithm in buckets:
+                allreduce = (hierarchical_allreduce if algorithm == "hierarchical"
+                             else ring_allreduce)
+                grad[lo:hi] = allreduce(list(grads[:, lo:hi]), topo, op="mean")[0][0]
         yield reduce
 
 
@@ -380,8 +388,7 @@ def _step(run: _Run, step: int, reduce) -> dict:
     # Overflowed gradients travel through the collective on steps the
     # scale policy is about to skip, so non-finite sums are expected.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, _, algorithm in run.buckets:
-            net.grad[lo:hi] = reduce(list(grads[:, lo:hi]), algorithm)
+        reduce(grads)
 
     applied = scale.update(net.grad)
     grad_norm = 0.0
@@ -461,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
             pass
 
     run = _Run(cfg)
-    with _reducer(cfg) as reduce:
+    with _reducer(run) as reduce:
         rows = [_step(run, step, reduce) for step in range(cfg.steps)]
     final = evaluate(run.net, run.x, run.y, mixed=cfg.mixed)
     return _write(run_dir, config_hash, run, rows, final)

@@ -13,6 +13,17 @@ group bundles between masters, and passes the result back out.  (Its
 wire rounds therefore differ from the cost model's ring-pass step
 accounting, which stays the authority for simulated time.)
 
+One coordinator exchange covers a whole collective, however many
+buckets split the vector.  Each worker gets one plan record, which lists
+the buckets as ``[n_elems, algorithm]`` in vector order, and one input
+frame, which it receives in place into a buffer sized by the plan.  It
+runs each bucket's table over its slice, one bucket after another, and
+numbers the rounds on across the buckets, so an abort names a round of
+the whole plan.  Then the rank that the plan names for the result
+replies with its result frame alone, which stands for done, and every
+other rank replies with a ``done`` record; an abort is a control record
+too.  A call with one algorithm name is the one-bucket case.
+
 Every socket runs with ``TCP_NODELAY``: a round's frames are small and
 each one is waited on, so Nagle's algorithm and delayed ACKs would add
 tens of milliseconds per round.  Each worker starts one sender thread
@@ -103,7 +114,8 @@ def send_frame(sock: socket.socket, tag: int, payload: bytes) -> None:
     sock.sendall(_LEN.pack(1 + len(payload)) + bytes([tag]) + payload)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+def _recv_head(sock: socket.socket) -> tuple[int, int]:
+    """A frame's payload size and tag, checked before the body is read."""
     length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
     if length < 1:
         raise ConnectionError("zero-length frame")
@@ -112,21 +124,30 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     if tag == TAG_JSON and length - 1 > _MAX_JSON:
         raise ConnectionError(f"control frame of {length - 1} bytes is over "
                               f"the {_MAX_JSON}-byte cap")
-    return tag, recv_exact(sock, length - 1)
+    return length - 1, tag
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    size, tag = _recv_head(sock)
+    return tag, recv_exact(sock, size)
 
 
 def send_json(sock: socket.socket, doc: dict) -> None:
     send_frame(sock, TAG_JSON, json.dumps(doc).encode())
 
 
-def recv_json(sock: socket.socket) -> dict:
-    tag, payload = recv_frame(sock)
-    if tag != TAG_JSON:
-        raise ConnectionError(f"expected control frame, got tag {tag}")
+def _decode_json(payload: bytes):
     try:
         return json.loads(payload.decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise ConnectionError(f"undecodable control frame: {exc}") from exc
+
+
+def recv_json(sock: socket.socket) -> dict:
+    tag, payload = recv_frame(sock)
+    if tag != TAG_JSON:
+        raise ConnectionError(f"expected control frame, got tag {tag}")
+    return _decode_json(payload)
 
 
 def send_array(sock: socket.socket, arr: np.ndarray) -> None:
@@ -149,18 +170,35 @@ def recv_array(sock: socket.socket) -> np.ndarray:
     return np.frombuffer(payload, dtype=wire).astype(native)
 
 
-def recv_array_into(sock: socket.socket, out: np.ndarray) -> None:
-    """Read one float32 frame of exactly ``out.nbytes`` into contiguous ``out``."""
-    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
-    if tag != TAG_F32 or length != 1 + out.nbytes:
-        raise ConnectionError(f"expected a float32 frame of {out.nbytes} bytes, "
-                              f"got tag {tag} with length {length}")
+def _fill(sock: socket.socket, out: np.ndarray) -> None:
     view, got = memoryview(out).cast("B"), 0
     while got < len(view):
         part = sock.recv_into(view[got:])
         if not part:
             raise ConnectionError("peer closed the connection")
         got += part
+
+
+def recv_array_into(sock: socket.socket, out: np.ndarray) -> None:
+    """Read one float32 frame of exactly ``out.nbytes`` into contiguous ``out``."""
+    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
+    if tag != TAG_F32 or length != 1 + out.nbytes:
+        raise ConnectionError(f"expected a float32 frame of {out.nbytes} bytes, "
+                              f"got tag {tag} with length {length}")
+    _fill(sock, out)
+
+
+def _recv_reply(sock: socket.socket, out: np.ndarray | None):
+    """A worker's reply to a plan: its result, a float32 frame of exactly
+    ``out.nbytes`` read into ``out`` (returns None), or a control record
+    (returned).  With ``out`` None only a control record is expected."""
+    size, tag = _recv_head(sock)
+    if tag == TAG_JSON:
+        return _decode_json(recv_exact(sock, size))
+    if out is None or tag != TAG_F32 or size != out.nbytes:
+        raise ConnectionError(f"unexpected reply frame: tag {tag} with {size} bytes")
+    _fill(sock, out)
+    return None
 
 
 # --- message plans ----------------------------------------------------------
@@ -246,23 +284,29 @@ class _Sender:
 def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
                        peers: dict[int, socket.socket], sender: _Sender,
                        die_at_step: int | None):
-    """Run this worker's plan (p >= 2: one worker never opens a socket)."""
-    p, n = plan_cfg["p"], inp.size
-    if plan_cfg["algorithm"] == "ring":
-        plan = _ring_plan(rank, p, n)
-    else:
-        plan = _hier_plan(rank, p, plan_cfg["k"], n)
-    raw = np.empty((p, n), dtype=np.float32)
-    raw[rank] = inp
-    flat, out = raw.reshape(-1), np.empty(n, dtype=np.float32)
+    """Run this worker's plan for each bucket of ``inp``, one bucket after
+    another (p >= 2: one worker never opens a socket).  Round indices run
+    on across the buckets, so a failure names its round in the whole plan."""
+    p, k, op = plan_cfg["p"], plan_cfg["k"], plan_cfg["op"]
+    out = np.empty(inp.size, dtype=np.float32)
+    # each bucket's (p, n) raw input matrix, back to back
+    raws = np.empty(p * inp.size, dtype=np.float32)
+    rounds, start = [], 0  # (bucket's raw matrix, its result slice, round)
+    for n, algorithm in plan_cfg["buckets"]:
+        raw = raws[p * start:p * (start + n)].reshape(p, n)
+        raw[rank] = inp[start:start + n]
+        plan = _ring_plan(rank, p, n) if algorithm == "ring" else _hier_plan(rank, p, k, n)
+        rounds += [(raw, out[start:start + n], rnd) for rnd in plan]
+        start += n
 
-    def view(block):
+    def view(block):  # in the current round's bucket
         row, (lo, hi) = block
-        return out[lo:hi] if row is None else flat[row * n + lo:row * n + hi]
+        return res[lo:hi] if row is None else flat[row * n + lo:row * n + hi]
 
-    for step, (sends, recvs, fold) in enumerate(plan):
+    for step, (raw, res, (sends, recvs, fold)) in enumerate(rounds):
         if step == die_at_step:
             os._exit(17)
+        flat, n = raw.reshape(-1), raw.shape[1]
         outgoing = [(peers[peer], view(block)) for peer, block in sends]
         incoming = [(peers[peer], view(block)) for peer, block in recvs]
         # A round's sends overlap its receives: peers that both sent first
@@ -288,7 +332,7 @@ def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
                                   step=step) from exc
         if fold is not None:
             lo, hi = fold
-            out[lo:hi] = fold_ascending(list(raw[:, lo:hi]), plan_cfg["op"])
+            res[lo:hi] = fold_ascending(list(raw[:, lo:hi]), op)
     return out
 
 
@@ -313,16 +357,24 @@ def _parse_go(go, rank: int) -> tuple[int, dict[int, int]] | None:
     return (go["p"], ports) if ok else None
 
 
-def _plan_ok(plan, p: int) -> bool:
-    """A plan config this worker's mesh of p >= 2 workers can run; its
-    ``result`` names the one rank that sends its result back, or is None
-    for every rank."""
-    return (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p
-            and p >= 2 and plan.get("algorithm") in ("ring", "hierarchical")
-            and _is_int(plan.get("k")) and plan["k"] >= 1 and p % plan["k"] == 0
-            and plan.get("op") in ("sum", "mean")
+def _plan_elems(plan, p: int) -> int | None:
+    """The input length of a plan config this worker's mesh of p >= 2
+    workers can run, or None if it cannot.  ``buckets`` lists each
+    bucket's ``[n_elems, algorithm]`` in input order, and ``result`` names
+    the one rank that sends its result back, or is None for every rank."""
+    if not (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p
+            and p >= 2 and _is_int(plan.get("k")) and plan["k"] >= 1
+            and p % plan["k"] == 0 and plan.get("op") in ("sum", "mean")
             and "result" in plan and (plan["result"] is None or (
-                _is_int(plan["result"]) and 0 <= plan["result"] < p)))
+                _is_int(plan["result"]) and 0 <= plan["result"] < p))):
+        return None
+    buckets = plan.get("buckets")
+    if not isinstance(buckets, list) or not buckets or not all(
+            isinstance(b, list) and len(b) == 2 and _is_int(b[0]) and b[0] >= 0
+            and b[1] in ("ring", "hierarchical") for b in buckets):
+        return None
+    n = sum(size for size, _ in buckets)
+    return n if 4 * n < 1 << 32 else None  # one frame's length field holds it
 
 
 def run_worker(coord_host: str, coord_port: int, rank: int,
@@ -372,10 +424,12 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                 return 3
             if "bye" in msg:
                 return 0
-            inp = recv_array(coord)
             plan_cfg = msg["plan"]
-            if not _plan_ok(plan_cfg, p):
+            n = _plan_elems(plan_cfg, p)
+            if n is None:
                 return 3
+            inp = np.empty(n, dtype=np.float32)
+            recv_array_into(coord, inp)
             try:
                 out = _worker_collective(rank, plan_cfg, inp, peers, sender,
                                          die_at_step)
@@ -385,9 +439,10 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                 except OSError:
                     pass
                 return 3
-            send_json(coord, {"done": rank})
             if plan_cfg["result"] in (None, rank):
-                send_array(coord, out)
+                send_array(coord, out)  # the result stands for done
+            else:
+                send_json(coord, {"done": rank})
     except (OSError, ConnectionError):
         return 3
     finally:
@@ -475,13 +530,19 @@ class TcpCluster:
         for m in self._members:
             send_json(m.sock, {"peers": ports, "p": self.p})
 
-    def allreduce(self, buffers, *, algorithm: str = "ring", k: int = 1,
+    def allreduce(self, buffers, *, algorithm="ring", k: int = 1,
                   op: str = "sum", result_rank: int | None = None
-                  ) -> tuple[list[np.ndarray], ReduceSchedule]:
-        """Run one collective across the cluster; returns per-rank results.
+                  ) -> tuple[list[np.ndarray], ReduceSchedule | list[ReduceSchedule]]:
+        """Run one collective across the cluster; returns per-rank results
+        and the schedule.
 
-        With ``result_rank`` only that rank sends its result back, and the
-        list holds just that one.  Every worker still reports done or
+        ``algorithm`` names one algorithm for the whole vector, or lists
+        the buckets that split it, in order, as ``[(n_elems, algorithm),
+        ...]``; each bucket runs its own schedule, and the list of their
+        schedules comes back in place of one.  Either way each worker gets
+        one plan record and one input frame, and replies once.  With
+        ``result_rank`` only that rank sends its result back, and the list
+        holds just that one.  Every other worker still reports done or
         abort, so a failure anywhere is caught either way.
         """
         if self._abort is not None:
@@ -504,12 +565,23 @@ class TcpCluster:
                                             and 0 <= result_rank < self.p):
             raise ValueError(f"result_rank must be a rank below {self.p} or None, "
                              f"got {result_rank!r}")
-        sched = _schedule(algorithm, self.p, k, n, 4)
+        if op not in ("sum", "mean"):
+            raise ValueError(f"unknown reduction op {op!r}")
+        buckets = [(n, algorithm)] if isinstance(algorithm, str) else list(algorithm)
+        if not buckets or not all(_is_int(size) and size >= 0 for size, _ in buckets):
+            raise ValueError(f"buckets must be one or more non-negative integer "
+                             f"sizes, got {buckets!r}")
+        total = sum(size for size, _ in buckets)
+        if total != n:
+            raise ValueError(f"bucket sizes sum to {total}, but the buffers hold "
+                             f"{n} elements")
+        scheds = [_schedule(name, self.p, k, size, 4) for size, name in buckets]
+        sched = scheds[0] if isinstance(algorithm, str) else scheds
 
         if self.p == 1:
             return [fold_ascending(arrs, op)], sched
 
-        plan = {"algorithm": algorithm, "p": self.p, "k": k, "op": op,
+        plan = {"buckets": buckets, "p": self.p, "k": k, "op": op,
                 "result": result_rank}
         for m, arr in zip(self._members, arrs):
             send_json(m.sock, {"plan": plan})
@@ -523,13 +595,15 @@ class TcpCluster:
         reported_abort: dict | None = None
         vanished: tuple[int, Exception] | None = None
         for m in self._members:
+            out = results[wanted.index(m.rank)] if m.rank in wanted else None
             try:
-                status = recv_json(m.sock)
-                if "abort" in status:
-                    reported_abort = reported_abort or status
+                status = _recv_reply(m.sock, out)
+                if status is None:  # the result frame stands for done
                     continue
-                if m.rank in wanted:
-                    recv_array_into(m.sock, results[wanted.index(m.rank)])
+                if isinstance(status, dict) and "abort" in status:
+                    reported_abort = reported_abort or status
+                elif out is not None or not (isinstance(status, dict) and "done" in status):
+                    raise ConnectionError(f"unexpected reply {status!r}")
             except (OSError, ConnectionError) as exc:
                 vanished = vanished or (m.rank, exc)
         if reported_abort is not None:

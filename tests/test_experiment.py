@@ -1,6 +1,7 @@
 """End-to-end driver checks: artifacts, determinism, and the config knobs."""
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -86,6 +87,23 @@ def test_tcp_transport_reproduces_sim_bytes(tmp_path):
     bytes_tcp = (Path(tcp["run_dir"]) / "metrics.csv").read_bytes()
     # the transport leaves no numeric trace, only the config hash differs
     assert bytes_sim == bytes_tcp
+
+
+@pytest.mark.parametrize("name,seed", [("train-tcp", 1), ("train-tcp", 2),
+                                       ("smoke", 0)])
+def test_tcp_writes_the_sim_artifacts(tmp_path, bench_workloads, name, seed):
+    # one collective per step over the wire, one all-reduce per bucket in
+    # memory: the same bytes in every deterministic artifact
+    if name == "smoke":
+        cfg = preset_config("smoke", ["use_bn=true", "mixed=true"])
+    else:
+        cfg = ExperimentConfig(seed=seed, **bench_workloads[name]["config"])
+    runs = {transport: Path(run_experiment(
+        dataclasses.replace(cfg, transport=transport),
+        out_root=tmp_path / transport)["run_dir"]) for transport in ("sim", "tcp")}
+    for artifact in ("metrics.csv", "fusion_trace.jsonl", "activations.jsonl"):
+        assert ((runs["sim"] / artifact).read_bytes()
+                == (runs["tcp"] / artifact).read_bytes()), artifact
 
 
 def test_fusion_threshold_controls_batch_count(tmp_path):
@@ -245,7 +263,7 @@ def test_a_step_does_not_need_step_zero(tmp_path, make_cfg):
     cfg = make_cfg()
     want = read_metrics(run_experiment(cfg, out_root=tmp_path))[-1]
     run = experiment._Run(cfg)
-    with experiment._reducer(cfg) as reduce:
+    with experiment._reducer(run) as reduce:
         row = experiment._step(run, cfg.steps - 1, reduce)
     assert float(want["comm_time"]) > 0 and int(want["wire_bytes"]) > 0
     keys = ("step", "algorithm", "comm_time", "wire_bytes")

@@ -174,19 +174,20 @@ def worker_exit_code(rank, go, *records, peer_hello=None):
     return codes[0] if codes else None
 
 
-def test_worker_exits_3_on_a_partial_element_input():
-    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum", "result": None}}
-    assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 6) == 3
-
-
 def mesh_of_2(port):
     return {"peers": {"0": port}, "p": 2}
 
 
 def plan_of(**changes):
-    plan = {"algorithm": "ring", "p": 2, "k": 1, "op": "sum", "result": 0}
+    """A plan record for a mesh of two, two float32 elements in one ring
+    bucket, with ``changes`` applied; a None value drops its key."""
+    plan = {"buckets": [[2, "ring"]], "p": 2, "k": 1, "op": "sum", "result": 0}
     plan.update(changes)
     return {"plan": {k: v for k, v in plan.items() if v is not None}}
+
+
+def test_worker_exits_3_on_a_partial_element_input():
+    assert worker_exit_code(1, mesh_of_2, plan_of(), b"\x00" * 6) == 3
 
 
 @pytest.mark.parametrize("go", [
@@ -217,8 +218,8 @@ def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
     pytest.param(plan_of(p=None), id="no-p"),
     pytest.param(plan_of(p=3), id="p-not-the-mesh"),
     pytest.param(plan_of(p=2.0), id="p-a-float"),
-    pytest.param(plan_of(algorithm="tree"), id="algorithm-tree"),
-    pytest.param(plan_of(algorithm=None), id="no-algorithm"),
+    pytest.param(plan_of(buckets=[[2, "tree"]]), id="algorithm-tree"),
+    pytest.param(plan_of(buckets=[[2]]), id="no-algorithm"),
     pytest.param(plan_of(k=None), id="no-k"),
     pytest.param(plan_of(k=0), id="k-0"),
     pytest.param(plan_of(k=3), id="k-not-dividing-p"),
@@ -231,14 +232,30 @@ def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
     pytest.param(plan_of(result=True), id="result-a-bool"),
     pytest.param(plan_of(result="0"), id="result-a-string"),
     pytest.param({"plan": [1]}, id="plan-a-list"),
+    pytest.param(plan_of(buckets=None), id="no-buckets"),
+    pytest.param(plan_of(buckets=[]), id="buckets-empty"),
+    pytest.param(plan_of(buckets={"2": "ring"}), id="buckets-an-object"),
+    pytest.param(plan_of(buckets=[2, "ring"]), id="bucket-not-a-list"),
+    pytest.param(plan_of(buckets=[[2, "ring", 0]]), id="bucket-of-three"),
+    pytest.param(plan_of(buckets=[[-1, "ring"], [3, "ring"]]), id="size-negative"),
+    pytest.param(plan_of(buckets=[[True, "ring"], [1, "ring"]]), id="size-a-bool"),
+    pytest.param(plan_of(buckets=[[2.0, "ring"]]), id="size-a-float"),
+    pytest.param(plan_of(buckets=[[1, "ring"], [1, "tree"]]), id="tree-in-second-bucket"),
+    pytest.param(plan_of(buckets=[[1, "ring"], [2, "ring"]]), id="sizes-over-the-input"),
+    pytest.param(plan_of(buckets=[[1, "ring"]]), id="sizes-under-the-input"),
+    # more elements than one frame's length field can count, and than numpy
+    # can allocate: rejected before anything is sized by it
+    pytest.param(plan_of(buckets=[[1 << 62, "ring"]]), id="sizes-past-one-frame"),
 ])
 def test_worker_exits_3_on_a_malformed_plan(plan):
+    # the input frame holds two float32 elements
     assert worker_exit_code(1, mesh_of_2, plan, b"\x00" * 8) == 3
 
 
 def test_worker_exits_3_on_a_plan_for_one_worker():
     # a one-worker plan has no rounds, so nothing would fill its result
-    plan = {"plan": {"algorithm": "ring", "p": 1, "k": 1, "op": "sum", "result": None}}
+    plan = {"plan": {"buckets": [[2, "ring"]], "p": 1, "k": 1, "op": "sum",
+                     "result": None}}
     assert worker_exit_code(0, {"peers": {}, "p": 1}, plan, b"\x00" * 8) == 3
 
 
@@ -514,6 +531,115 @@ def test_cluster_shares_one_frozen_schedule_per_shape():
         assert np.array_equal(wire[0], ring_allreduce(bufs)[0][0])
 
 
+def bucket_reference(bufs, buckets, k, op):
+    """Per-bucket in-memory results, each rank's row joined across the
+    buckets, and each bucket's schedule."""
+    topo = Topology(len(bufs), k)
+    rows, scheds, lo = [], [], 0
+    for n, algorithm in buckets:
+        allreduce = hierarchical_allreduce if algorithm == "hierarchical" else ring_allreduce
+        results, sched = allreduce([b[lo:lo + n] for b in bufs], topo, op=op)
+        rows.append(results)
+        scheds.append(sched)
+        lo += n
+    return [np.concatenate([r[rank] for r in rows]) for rank in range(len(bufs))], scheds
+
+
+@pytest.mark.parametrize("p,k,buckets", [
+    (4, 2, [(37, "ring"), (21, "hierarchical"), (1, "ring"), (9, "hierarchical")]),
+    (8, 4, [(1, "hierarchical"), (45, "ring"), (30, "hierarchical"), (7, "ring")]),
+], ids=["p4-k2", "p8-k4"])
+def test_bucket_list_matches_each_bucket_in_memory(p, k, buckets):
+    # one collective per call, bitwise the per-bucket in-memory results,
+    # with 1-element buckets and chunks that do not split evenly
+    n = sum(size for size, _ in buckets)
+    bufs = rand_buffers(p, n, seed=p * k)
+    with TcpCluster(p, timeout=20) as cluster:
+        for op in ("sum", "mean"):
+            mem, mem_scheds = bucket_reference(bufs, buckets, k, op)
+            for rank in (None, 0, p - 1):
+                wire, scheds = cluster.allreduce(bufs, algorithm=buckets, k=k, op=op,
+                                                 result_rank=rank)
+                want = mem if rank is None else [mem[rank]]
+                assert len(wire) == len(want)
+                for got, ref in zip(wire, want):
+                    assert got.view(np.uint32).tolist() == ref.view(np.uint32).tolist()
+                assert len(scheds) == len(buckets)
+                assert all(a is b for a, b in zip(scheds, mem_scheds))
+
+
+def test_one_name_is_the_one_bucket_case():
+    # a single algorithm name runs the whole vector as one bucket, and
+    # returns the shared schedule itself rather than a list of one
+    bufs = rand_buffers(4, 23, seed=6)
+    with TcpCluster(4, timeout=20) as cluster:
+        for algorithm in ("ring", "hierarchical"):
+            wire, sched = cluster.allreduce(bufs, algorithm=algorithm, k=2, op="mean")
+            listed, scheds = cluster.allreduce(bufs, algorithm=[(23, algorithm)], k=2,
+                                               op="mean")
+            mem, mem_sched = bucket_reference(bufs, [(23, algorithm)], 2, "mean")
+            assert sched is scheds[0] is mem_sched[0]
+            for got, also, ref in zip(wire, listed, mem):
+                assert np.array_equal(got, ref) and np.array_equal(also, ref)
+
+
+@pytest.mark.parametrize("call,match", [
+    (dict(algorithm=[(10, "ring"), (5, "hierarchical")]), "sum to 15"),
+    (dict(algorithm=[(10, "ring"), (3, "hierarchical")]), "sum to 13"),
+    (dict(algorithm=[(6, "ring"), (6, "tree")]), "unknown algorithm"),
+    (dict(algorithm=[(13, "ring"), (-1, "ring")]), "non-negative"),
+    (dict(algorithm=[(True, "ring"), (11, "ring")]), "non-negative"),
+    (dict(algorithm=[(12.0, "ring")]), "non-negative"),
+    (dict(algorithm=[]), "non-negative"),
+    (dict(algorithm="ring", op="max"), "unknown reduction op"),
+], ids=["over", "under", "tree", "negative", "bool", "float", "empty", "op-max"])
+def test_bad_call_is_rejected_before_anything_is_sent(monkeypatch, call, match):
+    bufs = rand_buffers(4, 12, seed=8)
+    with TcpCluster(4, timeout=20) as cluster:
+        def no_wire(*args):
+            raise AssertionError("a rejected call sent a frame")
+
+        with monkeypatch.context() as m:
+            m.setattr(tcp, "send_frame", no_wire)
+            with pytest.raises(ValueError, match=match):
+                cluster.allreduce(bufs, k=2, **call)
+        # nothing went out, so the cluster still runs
+        wire, _ = cluster.allreduce(bufs, algorithm=[(7, "ring"), (5, "hierarchical")],
+                                    k=2)
+        mem, _ = bucket_reference(bufs, [(7, "ring"), (5, "hierarchical")], 2, "sum")
+        assert all(np.array_equal(w, r) for w, r in zip(wire, mem))
+
+
+@pytest.mark.parametrize("p,k,buckets,die", [
+    # rank 1 dies at the second round of the second ring: rank 0 receives
+    # from it in that round
+    (3, 1, [(30, "ring"), (30, "ring")], {1: 5}),
+    # rank 0 dies at the last hierarchical round, where rank 1 waits on it
+    (4, 2, [(40, "ring"), (20, "hierarchical")], {0: 8}),
+], ids=["ring-ring", "ring-hierarchical"])
+def test_abort_names_the_round_in_the_whole_step_plan(p, k, buckets, die):
+    # the step is a round of the second bucket's wire plan, counted on
+    # from the first bucket's rounds
+    (_, step), = die.items()
+    (n1, _), (n2, second) = buckets
+    first = len(tcp._ring_plan(0, p, n1))
+    rounds = tcp._ring_plan(0, p, n2) if second == "ring" else tcp._hier_plan(0, p, k, n2)
+    assert first < step < first + len(rounds)
+    bufs = rand_buffers(p, 60, seed=3)
+    cluster = TcpCluster(p, timeout=10, die_at_step=die)
+    procs = list(cluster._procs)
+    try:
+        with pytest.raises(CollectiveAbort) as exc_info:
+            cluster.allreduce(bufs, algorithm=buckets, k=k)
+        assert exc_info.value.step == step
+        with pytest.raises(CollectiveAbort, match="dead") as again:
+            cluster.allreduce(bufs, algorithm=buckets, k=k)
+        assert again.value.step == step
+    finally:
+        cluster.close()
+    assert len(procs) == p and not any(proc.is_alive() for proc in procs)
+
+
 def test_single_worker_skips_sockets_entirely():
     buf = np.linspace(-1, 1, 17, dtype=np.float32)
     with TcpCluster(1) as cluster:
@@ -562,15 +688,20 @@ def test_aborted_cluster_stays_dead(monkeypatch):
 
 def test_one_rank_result_comes_back_alone(monkeypatch):
     # the coordinator reads one result frame per collective, not p, and
-    # it is the asked rank's result, bitwise the in-memory one
-    received = []
-    recv_into = tcp.recv_array_into
+    # it is the asked rank's result, bitwise the in-memory one; every
+    # other worker replies with a control record
+    received, records = [], []
+    recv_reply = tcp._recv_reply
 
     def counted(sock, out):
-        received.append(out.size)
-        return recv_into(sock, out)
+        status = recv_reply(sock, out)
+        if status is None:
+            received.append(out.size)
+        else:
+            records.append(status)
+        return status
 
-    monkeypatch.setattr(tcp, "recv_array_into", counted)
+    monkeypatch.setattr(tcp, "_recv_reply", counted)
     bufs = rand_buffers(4, 37, seed=12)
     with TcpCluster(4, timeout=20) as cluster:
         for algorithm, k, rank in (("ring", 1, 0), ("hierarchical", 2, 3),
@@ -581,9 +712,11 @@ def test_one_rank_result_comes_back_alone(monkeypatch):
             mem, _ = ring_allreduce(bufs, op="mean")
             assert len(wire) == 1 and np.array_equal(wire[0], mem[rank])
             assert received == [37]
+            assert sorted(r["done"] for r in records) == [r for r in range(4) if r != rank]
+            records.clear()
         received.clear()
         wire, _ = cluster.allreduce(bufs)  # every rank, as before
-        assert len(wire) == 4 and received == [37] * 4
+        assert len(wire) == 4 and received == [37] * 4 and not records
         for bad in (4, -1, True, 1.0):
             with pytest.raises(ValueError, match="result_rank"):
                 cluster.allreduce(bufs, result_rank=bad)

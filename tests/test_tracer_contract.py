@@ -11,6 +11,7 @@ benchmark run.
 from pathlib import Path
 
 import gradsync
+from gradsync import experiment
 from gradsync.experiment import ExperimentConfig, preset_config, run_experiment
 from gradsync.toymodel import DenseNet
 
@@ -37,6 +38,37 @@ def test_layer_tracer_wraps_and_restores_gradsync(tmp_path, monkeypatch):
     assert tracer.sample_checks
     failed = [check for check in tracer.sample_checks if not check[1]]
     assert not failed, failed
+
+
+def test_layer_tracer_wraps_the_tcp_path(tmp_path, monkeypatch, count_calls):
+    # the runner reaches TcpCluster.allreduce once per step with whole
+    # rows, so the tracer's span and bucket-mean sample see every step,
+    # and the coordinator sends each worker one plan and one input frame
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layertrace import Tracer
+
+    cfg = preset_config("smoke", ["transport=tcp"])
+    # counted under the tracer's own frame counter, which it restores
+    frames = count_calls(gradsync.tcp.send_frame)["send_frame"]
+    tracer = Tracer(gradsync)
+    tracer.install()
+    try:
+        run_experiment(cfg, out_root=tmp_path)
+        tracer.check_samples()
+    finally:
+        tracer.uninstall()
+
+    allreduce = tracer.names.index("tcp.allreduce")
+    assert sum(span[0] == allreduce for span in tracer.spans) == cfg.steps
+    assert tracer.sample_checks
+    failed = [check for check in tracer.sample_checks if not check[1]]
+    assert not failed, failed
+    # each sample is a whole gradient row: every bucket of the step
+    elems = experiment._Run(cfg).net.grad.size
+    assert all(detail == f"{elems} elements over {cfg.workers} ranks"
+               for _, _, detail in tracer.sample_checks)
+    # one peer table at the rendezvous and one bye at close per worker
+    assert len(frames) == 2 * cfg.workers * cfg.steps + 2 * cfg.workers
 
 
 def test_every_step_is_workers_forward_backward_calls(tmp_path, monkeypatch):
