@@ -12,6 +12,12 @@ the weights through these views, so optimizer updates are visible
 immediately, and write each gradient straight into ``grad``, so a caller
 can read or write all gradients as one vector.
 
+The training pass keeps one int32 mask per hidden layer, all ones where
+the ReLU input is above zero and zero everywhere else, NaN included.
+The ReLU output is the input's bits and-ed with that mask, and so is its
+adjoint: both equal ``np.where(pre > 0, v, +0.0)`` bit for bit, without
+a branch per element.  ``predict`` applies ``np.maximum`` instead.
+
 In mixed mode every tensor crossing a layer boundary is rounded
 through half precision, and matrix products read the net's
 half-precision roundings of the masters.  ReLU outputs are not rounded
@@ -36,8 +42,8 @@ from .lars import ParamGroup
 
 __all__ = ["DenseNet", "make_synthetic_dataset", "evaluate"]
 
-# one scalar for every ReLU and its adjoint: a fresh np.float32(0.0) per
-# np.where call costs more than the where itself on small layers
+# one float32 zero, built once, for every ReLU compare and for predict's
+# np.maximum
 _ZERO = np.float32(0.0)
 
 
@@ -157,12 +163,17 @@ class DenseNet:
                 z += params[i][1]
                 pre = q(z)
                 xhat = invstd = gamma = None
-            mask = pre > _ZERO
-            out = np.where(mask, pre, _ZERO)
+            # branch-free ReLU, in place: pre's bits and-ed with a mask of
+            # all ones where pre > 0 and zeros elsewhere, NaN included,
+            # which is np.where(pre > 0, pre, +0.0) bit for bit
+            mask = (pre > _ZERO).astype(np.int32)
+            np.negative(mask, out=mask)
+            bits = pre.view(np.int32)
+            bits &= mask
             cache.append((a, W, xhat, invstd, gamma, mask))
-            a = out
+            a = pre
             if collect_stats is not None:
-                collect_stats.append(_stats_record(stats_step, f"layer{i}", out))
+                collect_stats.append(_stats_record(stats_step, f"layer{i}", a))
 
         W_head, b_head = params[-1]
         logits = a @ W_head
@@ -183,7 +194,8 @@ class DenseNet:
         for i in reversed(range(self.depth - 1)):
             a_in, W, xhat, invstd, gamma, mask = cache[i]
             grads = self._grads[i]
-            d = np.where(mask, d, _ZERO)
+            bits = d.view(np.int32)  # the adjoint: the same and of d's bits
+            bits &= mask
             if self.use_bn:
                 np.add.reduce(d * xhat, axis=0, out=grads[1])
                 np.add.reduce(d, axis=0, out=grads[2])
@@ -273,7 +285,8 @@ def make_synthetic_dataset(n_samples: int, n_features: int, n_classes: int,
 
 
 def evaluate(net: DenseNet, x, y, *, mixed: bool = False) -> dict:
-    """Loss plus accuracy on held-out data."""
+    """Loss plus accuracy of ``net`` on the samples ``x`` and labels
+    ``y``; the training runner passes its training samples."""
     logits = net.predict(x, mixed=mixed)
     with np.errstate(over="ignore", invalid="ignore"):
         loss, _ = _loss_and_grad(logits, y)

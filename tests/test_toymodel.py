@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from gradsync import halfprec
+from gradsync import halfprec, toymodel
 from gradsync.halfprec import f16_to_f32, f32_to_f16, quantize_tensor, unscale_gradients
 from gradsync.lars import (LarsConfig, Schedule, lars_step, load_checkpoint,
                            save_checkpoint)
@@ -184,27 +184,81 @@ def test_mixed_mode_reads_working_copies():
     assert np.array_equal(mixed[0, 0], f16_to_f32(f32_to_f16(np.float32(0.1))))
 
 
-def test_relu_of_rounded_values_stays_rounded():
-    # why the mixed passes do not round ReLU outputs: for p on the
-    # binary16 grid (canonical NaNs included), both ReLU forms are fixed
-    # points of the rounding
+NAN_PAYLOADS = np.array([0x7FC12345, 0xFFA00001, 0x7F800001],
+                        dtype=np.uint32).view(np.float32)
+
+
+def relu_specials():
+    """ReLU inputs that tell ReLU forms apart: NaN payloads of both signs,
+    quiet and signalling, +-inf, +-0, float32 subnormals, values around
+    binary16's subnormals and its largest finite value, and 4096 values
+    over 15 decades."""
     rng = np.random.default_rng(21)
     specials = np.array([
         np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0**-24, -(2.0**-24),
         2.0**-25, -(1.5 * 2.0**-25), 3 * 2.0**-20, -(2.0**-14), 1e-40, -1e-40,
         65504.0, -65504.0, 65519.0, 65520.0, -70000.0, 1e30, -1e38,
     ], dtype=np.float32)
-    payloads = np.array([0x7FC12345, 0xFFA00001, 0x7F800001],
-                        dtype=np.uint32).view(np.float32)
     noise = (rng.standard_normal(4096)
              * 10.0 ** rng.integers(-9, 6, size=4096)).astype(np.float32)
-    p = quantize_tensor(np.concatenate([specials, payloads, noise]))
+    return np.concatenate([specials, NAN_PAYLOADS, noise])
+
+
+def test_relu_of_rounded_values_stays_rounded():
+    # why the mixed passes do not round ReLU outputs: for p on the
+    # binary16 grid (canonical NaNs included), every ReLU form is a fixed
+    # point of the rounding: np.where, predict's np.maximum, and the
+    # training pass's bits and-ed with an int32 mask
+    p = quantize_tensor(relu_specials())
     with np.errstate(invalid="ignore"):  # as in the passes themselves
-        relus = (np.where(p > 0, p, np.float32(0.0)), np.maximum(p, np.float32(0.0)))
+        mask = -(p > 0).astype(np.int32)
+        relus = (np.where(p > 0, p, np.float32(0.0)), np.maximum(p, np.float32(0.0)),
+                 (p.view(np.int32) & mask).view(np.float32))
     assert not np.isnan(relus[0]).any() and np.isnan(relus[1]).any()
+    assert not np.isnan(relus[2]).any()
     for relu in relus:
         assert np.array_equal(quantize_tensor(relu).view(np.uint32),
                               relu.view(np.uint32))
+
+
+def test_training_relu_matches_where_bitwise(monkeypatch):
+    # The training pass's ReLU and its adjoint against np.where, bit for
+    # bit, on one hidden layer and a batch of one.  The float32 pass
+    # routes every tensor through toymodel._same; the hook below hands it
+    # the ReLU input (the third tensor) and the gradient arriving at the
+    # ReLU (the sixth) instead.  With one sample, layer0.bias's gradient
+    # is that masked gradient, and the recorded activations are the
+    # forward output itself.
+    pre = relu_specials()
+    v = np.random.default_rng(23).standard_normal(pre.size).astype(np.float32)
+    with np.errstate(invalid="ignore"):
+        keep = pre > 0
+    nasty = np.concatenate([np.array([np.nan, np.inf, -np.inf, -0.0], np.float32),
+                            NAN_PAYLOADS])
+    v[~keep] = np.resize(nasty, (~keep).sum())  # where the mask is zero
+    v[np.flatnonzero(keep)[::5]] = np.inf  # and some kept infinities
+    assert keep.any() and not keep.all()
+
+    feed = {3: pre, 6: v}
+    calls = []
+
+    def hook(arr):
+        calls.append(arr.shape)
+        return feed[len(calls)].reshape(1, -1).copy() if len(calls) in feed else arr
+
+    monkeypatch.setattr(toymodel, "_same", hook)
+    monkeypatch.setattr(toymodel, "_stats_record", lambda step, layer, out: out.copy())
+    net = DenseNet([1, pre.size, 2], seed=0)
+    outputs = []
+    net.forward_backward(np.ones((1, 1), np.float32), np.array([0]),
+                         collect_stats=outputs)
+    assert calls == [(1, 1), (1, pre.size), (1, pre.size), (1, 2), (1, 2),
+                     (1, pre.size)]
+    want_out = np.where(keep, pre, np.float32(0.0))
+    want_grad = np.where(keep, v, np.float32(0.0))
+    assert np.array_equal(outputs[0][0].view(np.uint32), want_out.view(np.uint32))
+    assert np.array_equal(group(net, "layer0.bias").grad.view(np.uint32),
+                          want_grad.view(np.uint32))
 
 
 @pytest.mark.parametrize("use_bn", [False, True])
@@ -465,6 +519,30 @@ def bits(arrays):
     return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
+def stats_bits(records):
+    """Activation records with every float as its bits, so that NaN
+    compares equal to itself and -0 unequal to +0."""
+    return [{k: struct.pack("<d", v) if isinstance(v, float) else v for k, v in r.items()}
+            for r in records]
+
+
+def assert_step_matches_reference(net, ref, x, y, *, mixed, loss_scale, step):
+    """One training pass of ``net`` and of the reference loop on ``ref``
+    give the same loss, gradients, running statistics, activation
+    records and predictions, bit for bit (NaNs included)."""
+    got_stats, want_stats = [], []
+    got = net.forward_backward(x, y, mixed=mixed, loss_scale=loss_scale,
+                               collect_stats=got_stats, stats_step=step)
+    want = reference_forward_backward(ref, x, y, mixed=mixed, loss_scale=loss_scale,
+                                      collect_stats=want_stats, stats_step=step)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert net.grad.tobytes() == ref.grad.tobytes()
+    assert bits(sum(net.running.values(), [])) == bits(sum(ref.running.values(), []))
+    assert stats_bits(got_stats) == stats_bits(want_stats)
+    assert (net.predict(x, mixed=mixed).tobytes()
+            == reference_predict(ref, x, mixed=mixed).tobytes())
+
+
 @pytest.mark.parametrize("sizes,batch", [([6, 9, 4], 8), ([16] * 5 + [4], 8),
                                          ([7, 1, 5, 2], 3), ([32, 128, 128, 8], 32)])
 @pytest.mark.parametrize("use_bn", [False, True])
@@ -479,16 +557,62 @@ def test_layer_loop_matches_the_reference_bitwise(sizes, batch, use_bn, mixed, l
     net, ref = (DenseNet(sizes, use_bn=use_bn, seed=seed) for _ in range(2))
     overflowed = False
     for step, loss_scale in enumerate((1.0, 1024.0, 2.0 ** 24)):
-        got_stats, want_stats = [], []
-        got = net.forward_backward(x, y, mixed=mixed, loss_scale=loss_scale,
-                                   collect_stats=got_stats, stats_step=step)
-        want = reference_forward_backward(ref, x, y, mixed=mixed, loss_scale=loss_scale,
-                                          collect_stats=want_stats, stats_step=step)
-        assert struct.pack("<d", got) == struct.pack("<d", want)
-        assert net.grad.tobytes() == ref.grad.tobytes()
-        assert bits(sum(net.running.values(), [])) == bits(sum(ref.running.values(), []))
-        assert got_stats == want_stats
+        assert_step_matches_reference(net, ref, x, y, mixed=mixed,
+                                      loss_scale=loss_scale, step=step)
         overflowed |= not np.isfinite(net.grad).all()
-        assert (net.predict(x, mixed=mixed).tobytes()
-                == reference_predict(ref, x, mixed=mixed).tobytes())
     assert overflowed == mixed
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_layer_loop_matches_the_reference_when_the_forward_pass_overflows(
+        monkeypatch, use_bn):
+    # A mixed run whose ReLU inputs hold NaN, +-inf and -0.  Unit 0 of
+    # layer 0 is made to round to -0 in the even samples.
+    # Without batch norm, the odd samples are scaled past binary16's
+    # range: their inputs round to +-inf, and their affine outputs are
+    # +-inf or, from inf - inf, NaN.  The even samples and their
+    # gradients stay finite.  Unit 0 reads feature 0 alone, through a
+    # weight of 2**-24, with a bias of -0 (z + b is -0 only if both are),
+    # so a feature 0 of -0.25 gives -0 and the mask must drop a finite
+    # gradient there.
+    # With batch norm, gammas of 2**16 push normalised values past
+    # binary16's range, the next layer's statistics of a column holding
+    # inf are NaN, and unit 0's gamma of 2**-24 rounds normalised values
+    # in (-0.5, 0) to -0.
+    sizes, batch, seed = [16, 16, 16, 16, 4], 8, 1
+    x, y = make_synthetic_dataset(batch, sizes[0], sizes[-1], seed=seed)
+    x[::2, 0] = -0.25
+    if not use_bn:
+        x[1::2] *= np.float32(2.0 ** 14)
+    net, ref = (DenseNet(sizes, use_bn=use_bn, seed=seed) for _ in range(2))
+    for n in (net, ref):
+        if use_bn:
+            for g in n.groups:
+                if g.kind == "bn_gamma":
+                    g.master_w *= np.float32(2.0 ** 16)
+            group(n, "layer0.bn_gamma").master_w[0] = 2.0 ** -24
+        else:
+            w0 = group(n, "layer0.weight").master_w.reshape(sizes[:2])
+            w0[:, 0] = 0.0
+            w0[0, 0] = 2.0 ** -24
+            group(n, "layer0.bias").master_w[0] = -0.0
+        n.round_weights()
+
+    # the mixed pass rounds x, then per hidden layer a @ W and the ReLU
+    # input; copies, since the pass applies the ReLU in place
+    rounded = []
+
+    def spy(values):
+        out = quantize_tensor(values)
+        rounded.append(out.copy())
+        return out
+
+    monkeypatch.setattr(toymodel, "quantize_tensor", spy)
+    for step, loss_scale in enumerate((1.0, 1024.0)):
+        assert_step_matches_reference(net, ref, x, y, mixed=True,
+                                      loss_scale=loss_scale, step=step)
+
+    pre = np.concatenate([r.ravel() for r in rounded[2:2 * (net.depth - 1) + 1:2]])
+    assert np.isnan(pre).any()
+    assert (pre == np.inf).any() and (pre == -np.inf).any()
+    assert (np.signbit(pre) & (pre == 0)).any()
