@@ -21,7 +21,6 @@ from .lars import (
     Schedule,
     lars_step,
     load_checkpoint,
-    make_param_group,
     save_checkpoint,
 )
 from .netsim import LinkModel, find_crossover, scaling_efficiency, simulate
@@ -50,7 +49,6 @@ __all__ = [
     "hierarchical_allreduce",
     "lars_step",
     "load_checkpoint",
-    "make_param_group",
     "make_synthetic_dataset",
     "preset_config",
     "quantize_tensor",

@@ -25,7 +25,6 @@ once, so the only binary16 rounding is the inputs' and the result's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,15 +66,6 @@ class Topology:
     def group_count(self) -> int:
         return self.p // self.k
 
-    def group_of(self, rank: int) -> int:
-        return rank // self.k
-
-    def members(self, group: int) -> range:
-        return range(group * self.k, (group + 1) * self.k)
-
-    def masters(self) -> list[int]:
-        return [g * self.k for g in range(self.group_count)]
-
 
 @dataclass(frozen=True, eq=False)
 class Round:
@@ -110,7 +100,7 @@ class Round:
 
 @dataclass(frozen=True)
 class ReduceSchedule:
-    """Ordered rounds for one all-reduce, plus enough to serialize them.
+    """Ordered rounds for one all-reduce.
 
     Immutable, so the all-reduce entry points can hand one schedule to
     every call of the same shape.
@@ -131,30 +121,6 @@ class ReduceSchedule:
     @property
     def bytes_on_wire(self) -> int:
         return sum(r.total_bytes for r in self.rounds)
-
-    def phases(self) -> list[str]:
-        seen = []
-        for r in self.rounds:
-            if r.phase not in seen:
-                seen.append(r.phase)
-        return seen
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "algorithm": self.algorithm,
-            "p": self.p,
-            "k": self.k,
-            "steps": [
-                {"phase": r.phase, "transfers": r.transfers.tolist()}
-                for r in self.rounds
-            ],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReduceSchedule":
-        doc = json.loads(text)
-        rounds = [Round(phase=s["phase"], transfers=s["transfers"]) for s in doc["steps"]]
-        return cls(algorithm=doc["algorithm"], p=doc["p"], k=doc["k"], rounds=rounds)
 
 
 def chunk_sizes(n: int, parts: int) -> np.ndarray:

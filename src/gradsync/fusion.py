@@ -47,10 +47,6 @@ class FusionBuffer:
         self._pending_bytes = 0
         self._dtype: np.dtype | None = None
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
     def enqueue(self, tensor_id: str, tensor: np.ndarray) -> FusedBatch | None:
         """Add one tensor; returns a batch when the threshold is crossed.
 

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SMALLEST_SUBNORMAL",
-    "FLUSH_BOUND",
-    "MAX_FINITE",
     "CANONICAL_NAN",
     "f32_to_f16",
     "f16_to_f32",
@@ -33,12 +30,6 @@ __all__ = [
     "unscale_gradients",
 ]
 
-#: Smallest positive binary16 value, 2**-24.
-SMALLEST_SUBNORMAL = 2.0 ** -24
-#: Magnitudes strictly below this become signed zero when narrowing.
-FLUSH_BOUND = 2.0 ** -25
-#: Largest finite binary16 value.
-MAX_FINITE = 65504.0
 #: Every NaN narrows to this single quiet pattern.
 CANONICAL_NAN = np.uint16(0x7E00)
 

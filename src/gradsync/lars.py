@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KINDS", "Schedule", "LarsConfig", "ParamGroup", "make_param_group",
-           "lars_local_lr", "lars_step", "save_checkpoint", "load_checkpoint"]
+__all__ = ["KINDS", "Schedule", "LarsConfig", "ParamGroup", "lars_local_lr",
+           "lars_step", "save_checkpoint", "load_checkpoint"]
 
 KINDS = ("weight", "bias", "bn_beta", "bn_gamma")
 
@@ -124,19 +124,6 @@ class ParamGroup:
     @property
     def size(self) -> int:
         return self.master_w.size
-
-
-def make_param_group(name: str, kind: str, values, **flags) -> ParamGroup:
-    # always a private copy, so callers can reuse their input buffers
-    master = np.array(values, dtype=np.float32).reshape(-1)
-    return ParamGroup(
-        name=name,
-        kind=kind,
-        master_w=master,
-        grad=np.zeros_like(master),
-        velocity=np.zeros_like(master),
-        **flags,
-    )
 
 
 def lars_local_lr(w: np.ndarray, g: np.ndarray, eta: float,

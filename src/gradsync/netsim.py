@@ -10,7 +10,7 @@ links is modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .collectives import ReduceSchedule, Topology, hierarchical_schedule, ring_schedule
 
@@ -69,15 +69,6 @@ class SimReport:
     total_steps: int
     bytes_on_wire: int
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "total_time": self.total_time,
-            "per_phase_time": dict(self.per_phase_time),
-            "total_steps": self.total_steps,
-            "bytes_on_wire": self.bytes_on_wire,
-        }
-
 
 def simulate(schedule: ReduceSchedule, link: LinkModel) -> SimReport:
     """Serialize the schedule's rounds through the link model."""
@@ -121,13 +112,6 @@ class EfficiencyReport:
     efficiency: float        # raw T / (S * N)
     clamped: float           # min(efficiency, 1.0), for headline reporting
     exceeds_ideal: bool      # flagged rather than silently hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "efficiency": self.efficiency,
-            "clamped": self.clamped,
-            "exceeds_ideal": self.exceeds_ideal,
-        }
 
 
 def scaling_efficiency(inp: EfficiencyInput) -> EfficiencyReport:

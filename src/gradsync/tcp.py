@@ -35,10 +35,11 @@ interleave.
 
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
-0 = float32 array, 1 = uint16 array, 2 = UTF-8 JSON control record.
-A float32 frame received in place must be exactly the expected size,
-an array frame must hold whole elements, and a control frame's payload
-is capped at 1 MiB; an unknown tag is rejected before the body is read.
+0 = float32 array, 2 = UTF-8 JSON control record.  Tag 1 is reserved
+for binary16 gradients; nothing sends it yet, and every receiver rejects
+it.  A float32 frame is received in place and must be exactly the
+expected size, and a control frame's payload is capped at 1 MiB; an
+unknown tag is rejected before the body is read.
 """
 
 from __future__ import annotations
@@ -127,11 +128,6 @@ def _recv_head(sock: socket.socket) -> tuple[int, int]:
     return length - 1, tag
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    size, tag = _recv_head(sock)
-    return tag, recv_exact(sock, size)
-
-
 def send_json(sock: socket.socket, doc: dict) -> None:
     send_frame(sock, TAG_JSON, json.dumps(doc).encode())
 
@@ -144,30 +140,16 @@ def _decode_json(payload: bytes):
 
 
 def recv_json(sock: socket.socket) -> dict:
-    tag, payload = recv_frame(sock)
+    size, tag = _recv_head(sock)
     if tag != TAG_JSON:
         raise ConnectionError(f"expected control frame, got tag {tag}")
-    return _decode_json(payload)
+    return _decode_json(recv_exact(sock, size))
 
 
 def send_array(sock: socket.socket, arr: np.ndarray) -> None:
-    if arr.dtype == np.float32:
-        send_frame(sock, TAG_F32, arr.astype("<f4", copy=False).tobytes())
-    elif arr.dtype == np.uint16:
-        send_frame(sock, TAG_U16, arr.astype("<u2", copy=False).tobytes())
-    else:
+    if arr.dtype != np.float32:
         raise TypeError(f"unsendable dtype {arr.dtype}")
-
-
-def recv_array(sock: socket.socket) -> np.ndarray:
-    tag, payload = recv_frame(sock)
-    if tag == TAG_JSON:
-        raise ConnectionError(f"expected array frame, got tag {tag}")
-    wire, native = ("<f4", np.float32) if tag == TAG_F32 else ("<u2", np.uint16)
-    if len(payload) % np.dtype(wire).itemsize:
-        raise ConnectionError(f"array frame of {len(payload)} bytes is not a whole "
-                              f"number of {np.dtype(native).name} elements")
-    return np.frombuffer(payload, dtype=wire).astype(native)
+    send_frame(sock, TAG_F32, arr.astype("<f4", copy=False).tobytes())
 
 
 def _fill(sock: socket.socket, out: np.ndarray) -> None:
@@ -567,6 +549,8 @@ class TcpCluster:
                              f"got {result_rank!r}")
         if op not in ("sum", "mean"):
             raise ValueError(f"unknown reduction op {op!r}")
+        if not (_is_int(k) and k >= 1):  # Topology takes True as 1; workers do not
+            raise ValueError(f"group size must be an integer >= 1, got {k!r}")
         buckets = [(n, algorithm)] if isinstance(algorithm, str) else list(algorithm)
         if not buckets or not all(_is_int(size) and size >= 0 for size, _ in buckets):
             raise ValueError(f"buckets must be one or more non-negative integer "

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradsync.lars import ParamGroup
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -49,3 +51,16 @@ def bench_workloads(monkeypatch):
         monkeypatch.setenv(var, "1")
     from run import WORKLOADS
     return WORKLOADS
+
+
+@pytest.fixture(scope="session")  # stateless, so hypothesis tests can take it
+def param_group():
+    """``param_group(name, kind, values, **flags)``: a ``ParamGroup`` over a
+    private float32 copy of ``values``, with zero gradient and velocity."""
+    def make(name, kind, values, **flags):
+        # always a private copy, so a test can reuse its input buffers
+        master = np.array(values, dtype=np.float32).reshape(-1)
+        return ParamGroup(name=name, kind=kind, master_w=master,
+                          grad=np.zeros_like(master), velocity=np.zeros_like(master),
+                          **flags)
+    return make

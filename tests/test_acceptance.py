@@ -33,7 +33,6 @@ from gradsync.lars import (
     Schedule,
     lars_local_lr,
     lars_step,
-    make_param_group,
 )
 from gradsync.netsim import (
     EfficiencyInput,
@@ -209,7 +208,7 @@ def test_half_precision_round_trip_and_loss_scale_rescue():
 # 6 ------------------------------------------------------------------------
 
 
-def test_lars_rate_oracle_scale_invariance_and_master_accumulation():
+def test_lars_rate_oracle_scale_invariance_and_master_accumulation(param_group):
     rng = np.random.default_rng(66)
     for _ in range(100):
         n = int(rng.integers(1, 600))
@@ -224,8 +223,8 @@ def test_lars_rate_oracle_scale_invariance_and_master_accumulation():
                      momentum=0.9)
     w0 = rng.uniform(0.5, 1.5, 128).astype(np.float32)
     g0 = rng.standard_normal(128).astype(np.float32)
-    plain = make_param_group("w", "weight", w0)
-    boosted = make_param_group("w", "weight", w0)
+    plain = param_group("w", "weight", w0)
+    boosted = param_group("w", "weight", w0)
     for step in range(4):
         plain.grad[:] = g0
         boosted.grad[:] = g0 * np.float32(1024.0)
@@ -236,8 +235,8 @@ def test_lars_rate_oracle_scale_invariance_and_master_accumulation():
 
     acc_cfg = LarsConfig(schedule=Schedule(base_lr=1.0), weight_decay=0.0,
                          momentum=0.9)
-    master = make_param_group("b", "bias", np.ones(64))
-    half_only = make_param_group("b", "bias", np.ones(64))
+    master = param_group("b", "bias", np.ones(64))
+    half_only = param_group("b", "bias", np.ones(64))
     for step in range(200):
         master.grad[:] = 1e-8
         half_only.grad[:] = 1e-8

@@ -35,10 +35,10 @@ def seq_sum_oracle(buffers):
 
 def test_topology_groups_and_masters():
     t = Topology(8, 2)
-    assert t.group_count == 4
-    assert t.masters() == [0, 2, 4, 6]
-    assert list(t.members(1)) == [2, 3]
-    assert t.group_of(5) == 2
+    assert (t.p, t.k, t.group_count) == (8, 2, 4)
+    # rank r is in group r // k, whose master is its lowest rank
+    masters = [r for r in range(t.p) if r % t.k == 0]
+    assert masters == [0, 2, 4, 6] and len(masters) == t.group_count
 
 
 @pytest.mark.parametrize("p,k", [(0, 1), (4, 3), (4, 0), (2, 4)])
@@ -94,12 +94,13 @@ def test_ring_bytes_on_wire_total():
 
 def test_hierarchical_phase_structure():
     s = hierarchical_schedule(Topology(8, 4), 64)
-    assert s.phases() == [
+    phases = list(dict.fromkeys(r.phase for r in s.rounds))  # in first-seen order
+    assert phases == [
         "intra_reduce_scatter", "intra_gather",
         "master_reduce_scatter", "master_allgather",
         "intra_scatter", "intra_allgather",
     ]
-    counts = {ph: sum(1 for r in s.rounds if r.phase == ph) for ph in s.phases()}
+    counts = {ph: sum(1 for r in s.rounds if r.phase == ph) for ph in phases}
     assert counts == {
         "intra_reduce_scatter": 3, "intra_gather": 3,
         "master_reduce_scatter": 1, "master_allgather": 1,
@@ -120,31 +121,19 @@ def test_hierarchical_k1_is_pure_master_ring():
 
 
 def test_hierarchical_intra_transfers_stay_in_group():
-    topo = Topology(12, 4)
-    s = hierarchical_schedule(topo, 48)
+    k = 4
+    s = hierarchical_schedule(Topology(12, k), 48)
     for r in s.rounds:
-        if r.phase.startswith("intra"):
-            for snd, rcv, _ in r.transfers:
-                assert topo.group_of(int(snd)) == topo.group_of(int(rcv))
-        else:
-            masters = set(topo.masters())
-            for snd, rcv, _ in r.transfers:
-                assert int(snd) in masters and int(rcv) in masters
+        for snd, rcv, _ in r.transfers.tolist():
+            if r.phase.startswith("intra"):
+                assert snd // k == rcv // k
+            else:  # only group masters, the lowest rank of each group
+                assert snd % k == 0 and rcv % k == 0
 
 
 def test_p1_schedules_are_empty():
     assert ring_schedule(1, 64).total_steps == 0
     assert hierarchical_schedule(Topology(1, 1), 64).total_steps == 0
-
-
-def test_schedule_json_roundtrip():
-    s = hierarchical_schedule(Topology(4, 2), 10)
-    back = ReduceSchedule.from_json(s.to_json())
-    assert back.algorithm == s.algorithm and back.p == 4 and back.k == 2
-    assert back.total_steps == s.total_steps
-    for a, b in zip(back.rounds, s.rounds):
-        assert a.phase == b.phase
-        assert np.array_equal(a.transfers, b.transfers)
 
 
 def test_ring_p2_golden_schedule():
@@ -178,8 +167,6 @@ def test_schedules_compare_by_value(p, k, itemsize):
     hier = hierarchical_schedule(Topology(p, k), 37, itemsize)
     assert ring == ring_schedule(p, 37, itemsize, k=k)
     assert hier == hierarchical_schedule(Topology(p, k), 37, itemsize)
-    assert ReduceSchedule.from_json(ring.to_json()) == ring
-    assert ReduceSchedule.from_json(hier.to_json()) == hier
     assert ring != ring_schedule(p, 38 * p, itemsize, k=k)
     assert ring.rounds[0] != Round("other", ring.rounds[0].transfers)
 
@@ -193,7 +180,6 @@ def test_schedules_are_frozen_from_every_source(p, k):
     sources = [
         ring,
         hierarchical_schedule(topo, 11),
-        ReduceSchedule.from_json(ring.to_json()),
         ring_allreduce(f32, topo)[1],
         hierarchical_allreduce(f32, topo)[1],
         ring_allreduce(f16, topo)[1],

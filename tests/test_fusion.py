@@ -19,21 +19,23 @@ def test_threshold_crossing_includes_crossing_tensor():
     buf = FusionBuffer(1000)
     assert buf.enqueue("a", f32(75)) is None
     assert buf.enqueue("b", f32(75)) is None
-    assert buf.pending_bytes == 600
     batch = buf.enqueue("c", f32(125))
     assert batch is not None
     assert batch.nbytes == 1100
     assert batch.tensor_ids == ["a", "b", "c"]
-    assert buf.pending_bytes == 0 and buf.flush() is None
+    assert buf.flush() is None
+    # the next batch starts empty: 996 more bytes do not cross the line
+    assert buf.enqueue("d", f32(249)) is None
+    assert buf.enqueue("e", f32(2)).tensor_ids == ["d", "e"]
 
 
 def test_exactly_threshold_does_not_emit():
     buf = FusionBuffer(600)
     assert buf.enqueue("a", f32(75)) is None
     assert buf.enqueue("b", f32(75)) is None     # pending == threshold
-    assert buf.pending_bytes == 600
     batch = buf.enqueue("c", f32(1))
     assert batch is not None and batch.nbytes == 604
+    assert batch.tensor_ids == ["a", "b", "c"]
 
 
 def test_zero_threshold_emits_every_tensor():

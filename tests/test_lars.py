@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from gradsync.halfprec import quantize_tensor
 from gradsync.lars import (
-    KINDS,
     LarsConfig,
     ParamGroup,
     Schedule,
     lars_local_lr,
     lars_step,
     load_checkpoint,
-    make_param_group,
     save_checkpoint,
 )
 from gradsync.toymodel import DenseNet
@@ -151,21 +149,21 @@ def test_config_validation():
         LarsConfig(schedule=sched, weight_decay=-0.1)
 
 
-def test_param_group_defaults_by_kind():
-    assert make_param_group("w", "weight", np.ones(4)).decay_exempt is False
-    assert make_param_group("w", "weight", np.ones(4)).lars_enabled is True
+def test_param_group_defaults_by_kind(param_group):
+    assert param_group("w", "weight", np.ones(4)).decay_exempt is False
+    assert param_group("w", "weight", np.ones(4)).lars_enabled is True
     for kind in ("bias", "bn_beta", "bn_gamma"):
-        g = make_param_group("x", kind, np.ones(4))
+        g = param_group("x", kind, np.ones(4))
         assert g.decay_exempt is True
         assert g.lars_enabled is False
-    override = make_param_group("b", "bias", np.ones(4), decay_exempt=False)
+    override = param_group("b", "bias", np.ones(4), decay_exempt=False)
     assert override.decay_exempt is False
 
 
-def test_param_group_validation():
+def test_param_group_validation(param_group):
     ok = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError, match="kind"):
-        make_param_group("x", "conv", ok)
+        param_group("x", "conv", ok)
     with pytest.raises(TypeError, match="grad"):
         ParamGroup("x", "weight", ok, ok.astype(np.float64), ok.copy())
     with pytest.raises(ValueError, match="velocity"):
@@ -181,14 +179,14 @@ def test_working_copy_tracks_master():
     assert np.array_equal(net.rounded["head.weight"], quantize_tensor(vals)[None, :])
 
 
-def test_two_step_momentum_reference():
+def test_two_step_momentum_reference(param_group):
     rng = np.random.default_rng(3)
     w0 = rng.uniform(0.5, 1.5, 32).astype(np.float32)
     g1 = rng.standard_normal(32).astype(np.float32) * np.float32(0.1)
     g2 = rng.standard_normal(32).astype(np.float32) * np.float32(0.1)
     cfg = LarsConfig(schedule=Schedule(base_lr=0.5), eta=0.001,
                      weight_decay=0.01, momentum=0.9)
-    group = make_param_group("w", "weight", w0)
+    group = param_group("w", "weight", w0)
 
     # hand-rolled replay of the exact float32 arithmetic
     def norm64(x):
@@ -214,22 +212,22 @@ def test_two_step_momentum_reference():
     assert np.array_equal(group.master_w, w2)
 
 
-def test_disabled_lars_uses_unit_local_rate():
+def test_disabled_lars_uses_unit_local_rate(param_group):
     w0 = np.full(8, 2.0, dtype=np.float32)
     g = np.full(8, 0.25, dtype=np.float32)
     cfg = LarsConfig(schedule=Schedule(base_lr=0.5), weight_decay=0.0,
                      momentum=0.0)
-    group = make_param_group("b", "bias", w0)
+    group = param_group("b", "bias", w0)
     group.grad[:] = g
     assert lars_step([group], cfg, step=0)
     assert np.array_equal(group.master_w,
                           w0 - np.float32(0.5) * g)
 
 
-def test_rejects_nonfinite_without_mutation():
+def test_rejects_nonfinite_without_mutation(param_group):
     cfg = LarsConfig(schedule=Schedule(base_lr=0.1))
-    a = make_param_group("a", "weight", np.ones(4))
-    b = make_param_group("b", "bias", np.ones(4))
+    a = param_group("a", "weight", np.ones(4))
+    b = param_group("b", "bias", np.ones(4))
     a.grad[:] = 0.5
     b.grad[:] = [0.1, np.nan, 0.1, 0.1]
     before = (a.master_w.copy(), a.velocity.copy(),
@@ -244,7 +242,7 @@ def test_rejects_nonfinite_without_mutation():
     assert lars_step([a, b], cfg, step=0) is False
 
 
-def test_gradient_scale_invariance_bitwise():
+def test_gradient_scale_invariance_bitwise(param_group):
     # with decay off, scaling the gradient by a power of two must leave
     # the applied update bit-identical
     rng = np.random.default_rng(8)
@@ -253,8 +251,8 @@ def test_gradient_scale_invariance_bitwise():
     cfg = LarsConfig(schedule=Schedule(base_lr=0.5), weight_decay=0.0,
                      momentum=0.9)
 
-    plain = make_param_group("w", "weight", w0)
-    scaled = make_param_group("w", "weight", w0)
+    plain = param_group("w", "weight", w0)
+    scaled = param_group("w", "weight", w0)
     for step in range(3):
         plain.grad[:] = g * np.float32(step + 1)
         scaled.grad[:] = (g * np.float32(step + 1)) * np.float32(16.0)
@@ -264,13 +262,13 @@ def test_gradient_scale_invariance_bitwise():
     assert np.array_equal(plain.velocity, scaled.velocity)
 
 
-def test_master_accumulation_survives_tiny_updates():
+def test_master_accumulation_survives_tiny_updates(param_group):
     # a 1e-8 gradient is far below half precision resolution near 1.0;
     # the float32 master integrates it, a half-only store never moves
     cfg = LarsConfig(schedule=Schedule(base_lr=1.0), weight_decay=0.0,
                      momentum=0.9)
-    with_master = make_param_group("b", "bias", np.ones(512))
-    half_only = make_param_group("b", "bias", np.ones(512))
+    with_master = param_group("b", "bias", np.ones(512))
+    half_only = param_group("b", "bias", np.ones(512))
     for step in range(200):
         with_master.grad[:] = 1e-8
         half_only.grad[:] = 1e-8
@@ -282,13 +280,13 @@ def test_master_accumulation_survives_tiny_updates():
     assert np.all(quantize_tensor(with_master.master_w) == 1.0)
 
 
-def test_checkpoint_roundtrip_and_resume(tmp_path):
+def test_checkpoint_roundtrip_and_resume(tmp_path, param_group):
     rng = np.random.default_rng(21)
     cfg = LarsConfig(schedule=Schedule(base_lr=0.2), momentum=0.9)
     groups = [
-        make_param_group("fc1.w", "weight", rng.standard_normal(40)),
-        make_param_group("fc1.b", "bias", rng.standard_normal(10)),
-        make_param_group("bn.gamma", "bn_gamma", np.ones(10)),
+        param_group("fc1.w", "weight", rng.standard_normal(40)),
+        param_group("fc1.b", "bias", rng.standard_normal(10)),
+        param_group("bn.gamma", "bn_gamma", np.ones(10)),
     ]
     for step in range(3):
         for g in groups:
@@ -338,9 +336,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(old)
 
 
-def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
-    groups = [make_param_group("fc1.w", "weight", np.arange(3.0)),
-              make_param_group("fc1.b", "bias", np.ones(2))]
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, param_group):
+    groups = [param_group("fc1.w", "weight", np.arange(3.0)),
+              param_group("fc1.b", "bias", np.ones(2))]
     path = tmp_path / "state.lars"
     save_checkpoint(path, groups, step=7)
     data = path.read_bytes()
@@ -357,9 +355,9 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     assert step == 7 and [g.name for g in loaded] == ["fc1.w", "fc1.b"]
 
 
-def _valid_checkpoint(path) -> bytes:
-    groups = [make_param_group("fc1.w", "weight", np.arange(3.0)),
-              make_param_group("bn.gamma", "bn_gamma", np.ones(2))]
+def _valid_checkpoint(path, param_group) -> bytes:
+    groups = [param_group("fc1.w", "weight", np.arange(3.0)),
+              param_group("bn.gamma", "bn_gamma", np.ones(2))]
     save_checkpoint(path, groups, step=4)
     return path.read_bytes()
 
@@ -370,10 +368,10 @@ def _valid_checkpoint(path) -> bytes:
     st.tuples(st.integers(min_value=0), st.integers(0, 255)),
 ))
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_checkpoint_decoder_loads_or_raises_value_error(tmp_path_factory, case):
+def test_checkpoint_decoder_loads_or_raises_value_error(tmp_path_factory, param_group, case):
     path = tmp_path_factory.getbasetemp() / "fuzz.lars"
     if isinstance(case, tuple):
-        data = bytearray(_valid_checkpoint(path))
+        data = bytearray(_valid_checkpoint(path, param_group))
         pos, value = case
         data[pos % len(data)] = value
         case = bytes(data)

@@ -28,18 +28,14 @@ def rand_buffers(p, n, seed):
     return [rng.standard_normal(n).astype(np.float32) for _ in range(p)]
 
 
-def test_frame_roundtrip_f32_u16_json():
+def test_frame_roundtrip_f32_json():
     a, b = socket.socketpair()
     try:
         vec = np.arange(5, dtype=np.float32) * 0.25
+        got = np.empty(5, dtype=np.float32)
         tcp.send_array(a, vec)
-        got = tcp.recv_array(b)
-        assert got.dtype == np.float32
+        tcp.recv_array_into(b, got)
         assert np.array_equal(got, vec)
-
-        half = np.array([0x3C00, 0x7BFF, 0x8000], dtype=np.uint16)
-        tcp.send_array(a, half)
-        assert np.array_equal(tcp.recv_array(b), half)
 
         tcp.send_json(a, {"hello": 3, "listen_port": 1234})
         assert tcp.recv_json(b) == {"hello": 3, "listen_port": 1234}
@@ -48,12 +44,26 @@ def test_frame_roundtrip_f32_u16_json():
         b.close()
 
 
+@pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+def test_send_array_sends_float32_only(dtype):
+    a, b = socket.socketpair()
+    try:
+        with pytest.raises(TypeError, match="unsendable"):
+            tcp.send_array(a, np.ones(3, dtype=dtype))
+        a.shutdown(socket.SHUT_WR)
+        b.settimeout(5)
+        assert b.recv(16) == b""  # the peer got no byte
+    finally:
+        a.close()
+        b.close()
+
+
 def test_frame_rejects_wrong_kind():
     a, b = socket.socketpair()
     try:
-        tcp.send_json(a, {"x": 1})
-        with pytest.raises(ConnectionError):
-            tcp.recv_array(b)
+        tcp.send_array(a, np.ones(2, dtype=np.float32))
+        with pytest.raises(ConnectionError, match="expected control frame"):
+            tcp.recv_json(b)
     finally:
         a.close()
         b.close()
@@ -64,7 +74,7 @@ def test_frame_rejects_unknown_tag():
     try:
         tcp.send_frame(a, 7, b"\x00\x00\x80\x3f")
         with pytest.raises(ConnectionError, match="tag 7"):
-            tcp.recv_frame(b)
+            tcp.recv_json(b)
     finally:
         a.close()
         b.close()
@@ -76,7 +86,7 @@ def test_frame_rejects_unknown_tag_before_the_body():
         b.settimeout(5)  # reading the promised body would time out instead
         a.sendall(tcp._HEAD.pack(1000, 7))
         with pytest.raises(ConnectionError, match="tag 7"):
-            tcp.recv_frame(b)
+            tcp.recv_json(b)
     finally:
         a.close()
         b.close()
@@ -88,7 +98,7 @@ def test_control_frames_are_capped():
         b.settimeout(5)
         a.sendall(tcp._HEAD.pack(2 + tcp._MAX_JSON, tcp.TAG_JSON))
         with pytest.raises(ConnectionError, match="cap"):
-            tcp.recv_frame(b)
+            tcp.recv_json(b)
     finally:
         a.close()
         b.close()
@@ -102,21 +112,6 @@ def test_control_frames_are_capped():
         assert tcp.recv_json(b) == record[1:-1]
         sender.join(timeout=5)
         assert not sender.is_alive()
-    finally:
-        a.close()
-        b.close()
-
-
-@pytest.mark.parametrize("tag,payload", [
-    (tcp.TAG_F32, b"\x00" * 6),
-    (tcp.TAG_U16, b"\x00" * 3),
-], ids=["f32", "u16"])
-def test_recv_array_rejects_partial_elements(tag, payload):
-    a, b = socket.socketpair()
-    try:
-        tcp.send_frame(a, tag, payload)
-        with pytest.raises(ConnectionError, match="whole number"):
-            tcp.recv_array(b)
     finally:
         a.close()
         b.close()
@@ -270,9 +265,11 @@ def test_worker_exits_3_on_a_malformed_peer_hello(hello):
 def test_empty_array_frame():
     a, b = socket.socketpair()
     try:
-        tcp.send_array(a, np.empty(0, dtype=np.float32))
-        got = tcp.recv_array(b)
-        assert got.size == 0 and got.dtype == np.float32
+        empty = np.empty(0, dtype=np.float32)
+        tcp.send_array(a, empty)
+        tcp.send_array(a, empty)
+        tcp.recv_array_into(b, empty)
+        assert tcp._recv_reply(b, empty) is None
     finally:
         a.close()
         b.close()
@@ -329,15 +326,25 @@ _WIRE = st.one_of(
 )
 
 
+# a well-formed frame of two binary16 elements: tag 1 is reserved, so
+# every receiver rejects it, even where its size is the expected one
+_U16_FRAME = tcp._HEAD.pack(5, tcp.TAG_U16) + np.ones(2, np.float16).tobytes()
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(wire=_WIRE, decoder=st.sampled_from(["frame", "json", "array", "into"]),
+@given(wire=_WIRE, decoder=st.sampled_from(["json", "into", "reply", "reply-none"]),
        n_out=st.integers(0, 3))
 @example(wire=tcp._HEAD.pack(200_001, tcp.TAG_JSON) + b"[" * 200_000,
          decoder="json", n_out=0)  # nested past the recursion limit
-@example(wire=tcp._HEAD.pack(2**32 - 1, tcp.TAG_F32), decoder="array", n_out=0)
+@example(wire=tcp._HEAD.pack(2**32 - 1, tcp.TAG_F32), decoder="reply", n_out=0)
+@example(wire=_U16_FRAME, decoder="json", n_out=1)
+@example(wire=_U16_FRAME, decoder="into", n_out=1)
+@example(wire=_U16_FRAME, decoder="reply", n_out=1)
+@example(wire=_U16_FRAME, decoder="reply-none", n_out=1)
 def test_frame_decoders_return_or_raise_connection_error(wire, decoder, n_out):
     # whatever a peer sends before it hangs up, each decoder returns a
-    # value or raises ConnectionError, and never waits for more bytes
+    # value or raises ConnectionError, and never waits for more bytes;
+    # none of them takes a frame with the reserved tag 1
     a, b = socket.socketpair()
     try:
         a.settimeout(5)
@@ -350,22 +357,27 @@ def test_frame_decoders_return_or_raise_connection_error(wire, decoder, n_out):
         sender = threading.Thread(target=send)
         sender.start()
         out = np.zeros(n_out, dtype=np.float32)
-        read = {"frame": tcp.recv_frame, "json": tcp.recv_json,
-                "array": tcp.recv_array,
-                "into": lambda sock: tcp.recv_array_into(sock, out)}[decoder]
+        read = {"json": tcp.recv_json,
+                "into": lambda sock: tcp.recv_array_into(sock, out),
+                "reply": lambda sock: tcp._recv_reply(sock, out),
+                "reply-none": lambda sock: tcp._recv_reply(sock, None)}[decoder]
+        taken = 0
         with pytest.raises(ConnectionError):
             while True:  # every frame in the bytes, then the hang-up
                 read(b)
+                taken += 1
         sender.join(timeout=5)
         assert not sender.is_alive()
+        if wire[4:5] == bytes([tcp.TAG_U16]):
+            assert taken == 0
     finally:
         a.close()
         b.close()
 
 
 def test_length_field_does_not_size_the_reads():
-    # a frame announcing 4 GiB that then ends: no recv asks for more
-    # than 1 MiB, since recv reserves what it is asked for
+    # a control frame at the 1 MiB cap that then ends: no recv asks for
+    # more than 1 MiB, since recv reserves what it is asked for
     class Wire:
         def __init__(self, data):
             self.data, self.asked = data, []
@@ -375,9 +387,9 @@ def test_length_field_does_not_size_the_reads():
             part, self.data = self.data[:n], self.data[n:]
             return part
 
-    wire = Wire(tcp._HEAD.pack(2**32 - 1, tcp.TAG_F32) + b"\x00" * 10)
+    wire = Wire(tcp._HEAD.pack(1 + tcp._MAX_JSON, tcp.TAG_JSON) + b"\x00" * 10)
     with pytest.raises(ConnectionError, match="closed"):
-        tcp.recv_array(wire)
+        tcp.recv_json(wire)
     assert max(wire.asked) <= 1 << 20
 
 
@@ -592,7 +604,12 @@ def test_one_name_is_the_one_bucket_case():
     (dict(algorithm=[(12.0, "ring")]), "non-negative"),
     (dict(algorithm=[]), "non-negative"),
     (dict(algorithm="ring", op="max"), "unknown reduction op"),
-], ids=["over", "under", "tree", "negative", "bool", "float", "empty", "op-max"])
+    # Topology takes True as 1, but every worker would reject the plan
+    (dict(algorithm="hierarchical", k=True), "group size"),
+    (dict(algorithm="ring", k=True), "group size"),
+    (dict(algorithm="ring", k=2.0), "group size"),
+], ids=["over", "under", "tree", "negative", "bool", "float", "empty", "op-max",
+        "k-bool-hierarchical", "k-bool-ring", "k-float"])
 def test_bad_call_is_rejected_before_anything_is_sent(monkeypatch, call, match):
     bufs = rand_buffers(4, 12, seed=8)
     with TcpCluster(4, timeout=20) as cluster:
@@ -602,7 +619,7 @@ def test_bad_call_is_rejected_before_anything_is_sent(monkeypatch, call, match):
         with monkeypatch.context() as m:
             m.setattr(tcp, "send_frame", no_wire)
             with pytest.raises(ValueError, match=match):
-                cluster.allreduce(bufs, k=2, **call)
+                cluster.allreduce(bufs, **{"k": 2, **call})
         # nothing went out, so the cluster still runs
         wire, _ = cluster.allreduce(bufs, algorithm=[(7, "ring"), (5, "hierarchical")],
                                     k=2)
