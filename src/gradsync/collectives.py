@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class Topology:
     k: int = 1
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("k", self.k)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ValueError(f"need at least one worker, got p={self.p}")
         if self.k < 1:

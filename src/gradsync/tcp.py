@@ -26,12 +26,14 @@ too.  A call with one algorithm name is the one-bucket case.
 
 Every socket runs with ``TCP_NODELAY``: a round's frames are small and
 each one is waited on, so Nagle's algorithm and delayed ACKs would add
-tens of milliseconds per round.  Each worker starts one sender thread
-with its mesh.  A round that both sends and receives hands its sends to
-that thread and receives on the calling thread; a round that only sends
-sends on the calling thread, since its peer is receiving.  A round's
-sends finish before the next round starts, so frames on a socket never
-interleave.
+tens of milliseconds per round.  A worker runs every round on its own
+thread, and in each round of either plan it has at most one send and at
+most one receive.  It sends first when its send goes to a higher rank
+or it has none, and otherwise receives first.  A round's frames then
+link the ranks in chains and rings; a chain always drains, and a ring
+could stall only if all its ranks sent first or all received first,
+but its lowest rank sends first and its highest receives first.  So no
+round deadlocks, however far a frame outgrows the socket buffers.
 
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
@@ -46,10 +48,8 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import socket
 import struct
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import accumulate
@@ -231,44 +231,22 @@ def _hier_plan(rank: int, p: int, k: int, n: int):
 # --- worker -----------------------------------------------------------------
 
 
-class _Sender:
-    """A worker's one long-lived sender thread, fed one round at a time."""
-
-    def __init__(self):
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name="gradsync-sender",
-                                        daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            try:
-                for sock, arr in job:
-                    send_array(sock, arr)
-            except Exception as exc:  # handed to the waiting round
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def submit(self, outgoing: list[tuple[socket.socket, np.ndarray]]) -> None:
-        self._jobs.put(outgoing)
-
-    def wait(self) -> Exception | None:
-        """Block until the submitted round is sent; returns its error."""
-        return self._done.get()
-
-    def close(self) -> None:
-        self._jobs.put(None)
-        self._thread.join()
+def _in_order(rank: int, sends, recvs):
+    """A round's transfers as ``(send_array or recv_array_into, peer,
+    block)``, in the order this rank makes them: sends first, unless the
+    send goes down to a lower rank."""
+    io = [(send_array, peer, block) for peer, block in sends]
+    io += [(recv_array_into, peer, block) for peer, block in recvs]
+    return io[::-1] if sends and sends[0][0] < rank else io
 
 
 def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
-                       peers: dict[int, socket.socket], sender: _Sender,
-                       die_at_step: int | None):
+                       peers: dict[int, socket.socket], die_at_step: int | None):
     """Run this worker's plan for each bucket of ``inp``, one bucket after
     another (p >= 2: one worker never opens a socket).  Round indices run
-    on across the buckets, so a failure names its round in the whole plan."""
+    on across the buckets, so a failure names its round in the whole plan.
+    Each round has at most one send and one receive, made in the order
+    ``_in_order`` gives, so no round deadlocks (see the module docstring)."""
     p, k, op = plan_cfg["p"], plan_cfg["k"], plan_cfg["op"]
     out = np.empty(inp.size, dtype=np.float32)
     # each bucket's (p, n) raw input matrix, back to back
@@ -289,26 +267,9 @@ def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
         if step == die_at_step:
             os._exit(17)
         flat, n = raw.reshape(-1), raw.shape[1]
-        outgoing = [(peers[peer], view(block)) for peer, block in sends]
-        incoming = [(peers[peer], view(block)) for peer, block in recvs]
-        # A round's sends overlap its receives: peers that both sent first
-        # could fill each other's socket buffers and deadlock.  A round
-        # that only sends needs no overlap, since its peers are receiving.
         try:
-            if outgoing and incoming:
-                sender.submit(outgoing)
-                try:
-                    for sock, buf in incoming:
-                        recv_array_into(sock, buf)
-                finally:
-                    send_error = sender.wait()
-                if send_error is not None:
-                    raise send_error
-            else:
-                for sock, arr in outgoing:
-                    send_array(sock, arr)
-                for sock, buf in incoming:
-                    recv_array_into(sock, buf)
+            for move, peer, block in _in_order(rank, sends, recvs):
+                move(peers[peer], view(block))
         except (OSError, ConnectionError) as exc:
             raise CollectiveAbort(f"worker {rank} failed at step {step}: {exc}",
                                   step=step) from exc
@@ -373,7 +334,6 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                                               timeout=timeout))
     coord.settimeout(timeout)
     peers: dict[int, socket.socket] = {}
-    sender: _Sender | None = None
     try:
         send_json(coord, {"hello": rank, "listen_port": listener.getsockname()[1]})
         mesh = _parse_go(recv_json(coord), rank)
@@ -398,8 +358,6 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                 return 3
             peers[other] = s
 
-        sender = _Sender()
-
         while True:
             msg = recv_json(coord)
             if not isinstance(msg, dict) or not ("bye" in msg or "plan" in msg):
@@ -413,8 +371,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
             inp = np.empty(n, dtype=np.float32)
             recv_array_into(coord, inp)
             try:
-                out = _worker_collective(rank, plan_cfg, inp, peers, sender,
-                                         die_at_step)
+                out = _worker_collective(rank, plan_cfg, inp, peers, die_at_step)
             except CollectiveAbort as exc:
                 try:
                     send_json(coord, {"abort": exc.step, "rank": rank})
@@ -428,8 +385,6 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     except (OSError, ConnectionError):
         return 3
     finally:
-        if sender is not None:
-            sender.close()
         for s in peers.values():
             s.close()
         coord.close()
@@ -549,7 +504,7 @@ class TcpCluster:
                              f"got {result_rank!r}")
         if op not in ("sum", "mean"):
             raise ValueError(f"unknown reduction op {op!r}")
-        if not (_is_int(k) and k >= 1):  # Topology takes True as 1; workers do not
+        if not (_is_int(k) and k >= 1):  # _schedule's cache would take True as 1
             raise ValueError(f"group size must be an integer >= 1, got {k!r}")
         buckets = [(n, algorithm)] if isinstance(algorithm, str) else list(algorithm)
         if not buckets or not all(_is_int(size) and size >= 0 for size, _ in buckets):

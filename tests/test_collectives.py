@@ -47,6 +47,18 @@ def test_topology_rejects_bad_shapes(p, k):
         Topology(p, k)
 
 
+@pytest.mark.parametrize("p,k", [(4, True), (4, 2.0), (4.0, 2), (True, 1),
+                                 (4, np.float64(2))])
+def test_topology_rejects_bool_and_float_sizes(p, k):
+    # True == 1 and 2.0 == 2 would pass the range checks
+    with pytest.raises(ValueError, match="must be an integer"):
+        Topology(p, k)
+
+
+def test_topology_takes_numpy_integers():
+    assert Topology(np.int64(4), np.int32(2)).group_count == 2
+
+
 def test_chunk_sizes_contiguous_cover():
     assert chunk_sizes(7, 4).tolist() == [2, 2, 2, 1]
     assert chunk_sizes(3, 8).tolist() == [1, 1, 1, 0, 0, 0, 0, 0]

@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradsync import collectives, experiment, halfprec, toymodel
 from gradsync.collectives import choose_algorithm
@@ -104,6 +106,45 @@ def test_tcp_writes_the_sim_artifacts(tmp_path, bench_workloads, name, seed):
     for artifact in ("metrics.csv", "fusion_trace.jsonl", "activations.jsonl"):
         assert ((runs["sim"] / artifact).read_bytes()
                 == (runs["tcp"] / artifact).read_bytes()), artifact
+
+
+def _numerics(cfg):
+    """A run's ``loss``, ``scale``, ``skipped`` and ``grad_norm`` columns and
+    its ``activations.jsonl`` bytes."""
+    with tempfile.TemporaryDirectory() as root:
+        report = run_experiment(cfg, out_root=root)
+        columns = [(r["loss"], r["scale"], r["skipped"], r["grad_norm"])
+                   for r in read_metrics(report)]
+        return columns, (Path(report["run_dir"]) / "activations.jsonl").read_bytes()
+
+
+_COMM_SETTINGS = st.fixed_dictionaries({
+    "fusion_threshold": st.sampled_from([0, 40, 100, 1 << 30]),
+    "hybrid_eta": st.sampled_from([0, 100, 1 << 40]),
+    "group_size": st.sampled_from([1, 2, 4]),
+    "alpha": st.sampled_from([0.0, 1e-5, 1e-3]),
+    "bandwidth": st.sampled_from([1e6, 1e9]),
+    "intra_alpha": st.sampled_from([None, 0.0, 1e-6]),
+    "intra_bandwidth": st.sampled_from([None, 1e7, 1e11]),
+})
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 3), mixed=st.booleans(), comm=_COMM_SETTINGS)
+def test_communication_settings_move_only_the_cost_columns(seed, mixed, comm):
+    # every all-reduce path is the ascending-rank fold, so how the
+    # gradients are bucketed, routed and costed leaves the numerics alone
+    base = small_config(workers=4, batch_size=16, steps=3, hidden=(8, 6),
+                        seed=seed, mixed=mixed)
+    assert _numerics(dataclasses.replace(base, **comm)) == _numerics(base)
+
+
+def test_communication_settings_move_only_the_cost_columns_over_tcp():
+    base = small_config(workers=4, batch_size=16, steps=3, hidden=(8, 6), seed=1)
+    varied = dataclasses.replace(base, transport="tcp", fusion_threshold=40,
+                                 hybrid_eta=100, group_size=2, alpha=1e-3,
+                                 bandwidth=1e6, intra_alpha=0.0, intra_bandwidth=1e7)
+    assert _numerics(varied) == _numerics(base)
 
 
 def test_fusion_threshold_controls_batch_count(tmp_path):

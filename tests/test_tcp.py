@@ -422,6 +422,52 @@ def test_wire_plans_match_sends_to_receives_and_schedules():
                     assert sent == received, (p, k, n, i)
 
 
+def _drains(ops):
+    """Whether every rank's ordered ``(is_send, peer)`` list completes when
+    nothing is buffered: a send completes only together with the matching
+    receive at the head of its peer's list."""
+    heads = [0] * len(ops)
+    moved = True
+    while moved:
+        moved = False
+        for rank, mine in enumerate(ops):
+            if heads[rank] < len(mine):
+                is_send, peer = mine[heads[rank]]
+                theirs = ops[peer]
+                if is_send and heads[peer] < len(theirs) and theirs[heads[peer]] == (False, rank):
+                    heads[rank] += 1
+                    heads[peer] += 1
+                    moved = True
+    return all(head == len(mine) for head, mine in zip(heads, ops))
+
+
+def test_every_plan_round_drains_without_socket_buffering():
+    # a frame larger than the socket buffers blocks its sender until the
+    # peer receives it; the workers' send order must drain every round
+    # anyway, where always sending first would not
+    rounds = stalled = 0
+    for p in range(2, 17):
+        for n in (0, 5, 37):
+            tables = [[tcp._ring_plan(r, p, n) for r in range(p)]]
+            tables += [[tcp._hier_plan(r, p, k, n) for r in range(p)]
+                       for k in range(1, p + 1) if p % k == 0]
+            for plans in tables:
+                for i in range(len(plans[0])):
+                    moves = [plan[i][:2] for plan in plans]
+                    assert all(len(sends) <= 1 and len(recvs) <= 1
+                               for sends, recvs in moves), (p, n, i)
+                    ordered = [[(move is tcp.send_array, peer)
+                                for move, peer, _ in tcp._in_order(r, sends, recvs)]
+                               for r, (sends, recvs) in enumerate(moves)]
+                    assert _drains(ordered), (p, n, i, moves)
+                    send_first = [[(True, peer) for peer, _ in sends]
+                                  + [(False, peer) for peer, _ in recvs]
+                                  for sends, recvs in moves]
+                    stalled += not _drains(send_first)
+                    rounds += 1
+    assert 0 < stalled < rounds
+
+
 @pytest.mark.parametrize("p,k,ratio", [(4, 2, 1), (8, 2, Fraction(16, 9)),
                                        (8, 4, Fraction(13, 10))])
 def test_hierarchical_plan_bytes_against_the_model(p, k, ratio):
@@ -483,8 +529,8 @@ def test_mean_op_over_tcp():
 
 def test_payload_larger_than_socket_buffers(monkeypatch):
     # 4 MiB per rank through 64 KiB socket buffers (pinned, since loopback
-    # autotuning can buffer tens of MiB): a round that sends before it
-    # receives on one thread would deadlock with its peer
+    # autotuning can buffer tens of MiB): a round in which every rank sent
+    # before it received would deadlock, so this needs the workers' order
     nodelay = tcp._nodelay
 
     def small_buffers(sock):

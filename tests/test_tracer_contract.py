@@ -10,6 +10,8 @@ benchmark run.
 
 from pathlib import Path
 
+import pytest
+
 import gradsync
 from gradsync import experiment
 from gradsync.experiment import ExperimentConfig, preset_config, run_experiment
@@ -93,3 +95,22 @@ def test_every_step_is_workers_forward_backward_calls(tmp_path, monkeypatch):
         calls.clear()
         run_experiment(cfg, out_root=tmp_path / name)
         assert len(calls) == cfg.steps * cfg.workers, name
+
+
+@pytest.mark.parametrize("name", ["smoke", "train-tcp"])
+def test_mesh_socket_bytes_equal_the_modeled_bytes(name, tmp_path, bench_workloads):
+    # on the runner's path each step's buckets cross the mesh sockets as
+    # exactly the bytes the cost model charges for them
+    from layertrace import Tracer
+
+    if name == "smoke":
+        cfg = preset_config("smoke", ["transport=tcp", "seed=1"])
+    else:
+        cfg = ExperimentConfig(seed=1, **bench_workloads[name]["config"])
+    tracer = Tracer(gradsync)
+    tracer.install()
+    try:
+        report = run_experiment(cfg, out_root=tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.frame_totals()[1] == report["wire_bytes"] > 0
