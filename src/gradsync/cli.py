@@ -24,7 +24,6 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
-    PRESETS,
     ablation_pair,
     compare_runs,
     load_config,
@@ -67,26 +66,18 @@ def _cmd_run(args) -> int:
     if args.preset == "stepcount-vs-paper":
         _emit(stepcount_table())
         return EXIT_OK
-    base = _env_seed()
-    if args.preset in _PAIR_PRESETS:
-        seed = args.seed if args.seed is not None else base.get("seed", 0)
-        _emit(ablation_pair(_PAIR_PRESETS[args.preset], seed=seed,
-                            overrides=args.overrides))
-        return EXIT_OK
-    if args.preset is not None:
-        base.update(PRESETS.get(args.preset) or _unknown_preset(args.preset))
-    cfg = load_config(args.config, args.overrides, base=base)
+    if args.preset is None:
+        cfg = load_config(args.config, args.overrides, base=_env_seed())
+    else:
+        cfg = preset_config(args.preset, args.overrides, args.config, base=_env_seed())
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.validate()
-    report = run_experiment(cfg, out_root=args.out)
-    _emit(report)
+    if args.preset in _PAIR_PRESETS:  # both arms share the resolved config
+        _emit(ablation_pair(_PAIR_PRESETS[args.preset], cfg))
+    else:
+        _emit(run_experiment(cfg, out_root=args.out))
     return EXIT_OK
-
-
-def _unknown_preset(name: str):
-    known = ", ".join(sorted(PRESETS) + ["stepcount-vs-paper"])
-    raise ConfigError([f"unknown preset {name!r}; known: {known}"])
 
 
 def _cmd_compare(args) -> int:

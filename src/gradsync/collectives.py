@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _is_whole(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Topology:
     """Worker count ``p`` split into contiguous groups of size ``k``.
@@ -57,7 +62,7 @@ class Topology:
 
     def __post_init__(self):
         for name, value in (("p", self.p), ("k", self.k)):
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not _is_whole(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ValueError(f"need at least one worker, got p={self.p}")

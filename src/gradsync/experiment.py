@@ -34,6 +34,7 @@ import numpy as np
 
 from .collectives import (
     Topology,
+    _is_whole,
     _schedule,
     choose_algorithm,
     hierarchical_allreduce,
@@ -104,6 +105,13 @@ class ExperimentConfig:
         bad: list[str] = [f"{name} must be finite, got {value}"
                           for name, value in vars(self).items()
                           if isinstance(value, float) and not math.isfinite(value)]
+        not_int = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                   for name, kind in _FIELD_TYPES.items()
+                   if kind == "int" and not _is_whole(getattr(self, name))]
+        if not all(map(_is_whole, self.hidden)):
+            not_int.append(f"hidden sizes must be integers, got {self.hidden!r}")
+        if not_int:  # the bounds below are for whole numbers
+            raise ConfigError(bad + not_int)
         if self.workers < 1:
             bad.append(f"workers must be >= 1, got {self.workers}")
         elif self.group_size < 1 or self.workers % self.group_size != 0:
@@ -278,11 +286,13 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset_config(name: str, overrides=()) -> ExperimentConfig:
+def preset_config(name: str, overrides=(), path=None, base: dict | None = None
+                  ) -> ExperimentConfig:
+    """``load_config`` with a preset's fields over ``base``."""
     if name not in PRESETS:
         raise ConfigError([f"unknown preset {name!r}; known: "
                            f"{', '.join(sorted(PRESETS))}"])
-    return load_config(None, overrides, base=PRESETS[name])
+    return load_config(path, overrides, base={**(base or {}), **PRESETS[name]})
 
 
 def stepcount_table() -> dict:
@@ -511,27 +521,22 @@ def compare_runs(dir_a, dir_b) -> dict:
     }
 
 
-def ablation_pair(kind: str, seed: int = 0, overrides=()) -> dict:
-    """Run a matched pair of experiments differing in one switch.
+# what the second arm of each ablation pair turns off
+_FLIPS = {"lars": {"lars_on": False}, "decay": {"decay_exempt_bias_bn": False},
+          "precision": {"mixed": False}}
 
-    kind: "lars" (norm-quotient rates on/off), "decay" (bias and batch
-    norm decay exemption on/off), or "precision" (mixed vs float32).
+
+def ablation_pair(kind: str, base: ExperimentConfig) -> dict:
+    """Run ``base`` and a copy of it with one switch turned off.
+
+    kind: "lars" (norm-quotient rates), "decay" (bias and batch norm
+    decay exemption), or "precision" (mixed vs float32).
     """
     import tempfile
 
-    if kind == "lars":
-        base = preset_config("lars-ablation", overrides)
-        flips = {"lars_on": False}
-    elif kind == "decay":
-        base = preset_config("decay-ablation", overrides)
-        flips = {"decay_exempt_bias_bn": False}
-    elif kind == "precision":
-        base = preset_config("mixed-vs-fp32", overrides)
-        flips = {"mixed": False}
-    else:
+    if kind not in _FLIPS:
         raise ConfigError([f"unknown ablation {kind!r}"])
-
-    base.seed = seed
+    flips = _FLIPS[kind]
     variant = dataclasses.replace(base, **flips)
     with tempfile.TemporaryDirectory() as tmp:
         rep_on = run_experiment(base, out_root=tmp)
@@ -541,7 +546,7 @@ def ablation_pair(kind: str, seed: int = 0, overrides=()) -> dict:
     wins = math.isfinite(on) and (not math.isfinite(off) or on <= off)
     return {
         "kind": kind,
-        "seed": seed,
+        "seed": base.seed,
         "flipped": flips,
         "loss_with": on,
         "loss_without": off,

@@ -38,10 +38,11 @@ round deadlocks, however far a frame outgrows the socket buffers.
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
 0 = float32 array, 2 = UTF-8 JSON control record.  Tag 1 is reserved
-for binary16 gradients; nothing sends it yet, and every receiver rejects
-it.  A float32 frame is received in place and must be exactly the
-expected size, and a control frame's payload is capped at 1 MiB; an
-unknown tag is rejected before the body is read.
+for binary16 gradients; nothing sends it yet.  Both sides read every
+frame with ``recv_frame``, which takes a control record of at most
+1 MiB, or a float32 frame of exactly the size its caller expects, read
+in place; it rejects any other frame from the header, before the body.
+Both sides also check a plan record with one rule, ``_plan_error``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import os
 import socket
 import struct
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import accumulate
 
 import multiprocessing as mp
@@ -72,14 +72,10 @@ TAG_F32 = 0
 TAG_U16 = 1
 TAG_JSON = 2
 
-_LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<IB")  # length and tag
 # Cap on a control record's payload; the largest real one, the peer
 # table, is ~14 KB at p = 1024.
 _MAX_JSON = 1 << 20
-# Largest single read, so that a frame's length field never sizes an
-# allocation before its bytes have arrived.
-_MAX_RECV = 1 << 20
 HOST = "127.0.0.1"
 
 
@@ -102,9 +98,8 @@ def _nodelay(sock: socket.socket) -> socket.socket:
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
-    while len(buf) < n:
-        # each recv reserves its whole size, and n comes off the wire
-        part = sock.recv(min(n - len(buf), _MAX_RECV))
+    while len(buf) < n:  # n is at most the control record cap
+        part = sock.recv(n - len(buf))
         if not part:
             raise ConnectionError("peer closed the connection")
         buf.extend(part)
@@ -112,38 +107,11 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def send_frame(sock: socket.socket, tag: int, payload: bytes) -> None:
-    sock.sendall(_LEN.pack(1 + len(payload)) + bytes([tag]) + payload)
-
-
-def _recv_head(sock: socket.socket) -> tuple[int, int]:
-    """A frame's payload size and tag, checked before the body is read."""
-    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
-    if length < 1:
-        raise ConnectionError("zero-length frame")
-    if tag not in (TAG_F32, TAG_U16, TAG_JSON):
-        raise ConnectionError(f"unknown frame tag {tag}")
-    if tag == TAG_JSON and length - 1 > _MAX_JSON:
-        raise ConnectionError(f"control frame of {length - 1} bytes is over "
-                              f"the {_MAX_JSON}-byte cap")
-    return length - 1, tag
+    sock.sendall(_HEAD.pack(1 + len(payload), tag) + payload)
 
 
 def send_json(sock: socket.socket, doc: dict) -> None:
     send_frame(sock, TAG_JSON, json.dumps(doc).encode())
-
-
-def _decode_json(payload: bytes):
-    try:
-        return json.loads(payload.decode())
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-        raise ConnectionError(f"undecodable control frame: {exc}") from exc
-
-
-def recv_json(sock: socket.socket) -> dict:
-    size, tag = _recv_head(sock)
-    if tag != TAG_JSON:
-        raise ConnectionError(f"expected control frame, got tag {tag}")
-    return _decode_json(recv_exact(sock, size))
 
 
 def send_array(sock: socket.socket, arr: np.ndarray) -> None:
@@ -152,35 +120,42 @@ def send_array(sock: socket.socket, arr: np.ndarray) -> None:
     send_frame(sock, TAG_F32, arr.astype("<f4", copy=False).tobytes())
 
 
-def _fill(sock: socket.socket, out: np.ndarray) -> None:
-    view, got = memoryview(out).cast("B"), 0
-    while got < len(view):
-        part = sock.recv_into(view[got:])
-        if not part:
-            raise ConnectionError("peer closed the connection")
-        got += part
+def recv_frame(sock: socket.socket, out: np.ndarray | None = None):
+    """Read one frame.  A control record of at most ``_MAX_JSON`` bytes is
+    decoded and returned.  A float32 frame of exactly ``out.nbytes`` is
+    read in place into contiguous ``out``, and None is returned.  Any
+    other frame raises ConnectionError from its header, before its body
+    is read: an unknown tag or the reserved tag 1, a zero length, a
+    control record over the cap, or a float32 frame of another size or
+    with no ``out``."""
+    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
+    if tag == TAG_JSON and 0 < length <= 1 + _MAX_JSON:
+        payload = recv_exact(sock, length - 1)
+        try:
+            doc = json.loads(payload.decode())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+            raise ConnectionError(f"undecodable control frame: {exc}") from exc
+        if doc is None:  # None stands for a float32 frame read into out
+            raise ConnectionError("null control record")
+        return doc
+    if tag == TAG_F32 and out is not None and length == 1 + out.nbytes:
+        view, got = memoryview(out).cast("B"), 0
+        while got < len(view):
+            part = sock.recv_into(view[got:])
+            if not part:
+                raise ConnectionError("peer closed the connection")
+            got += part
+        return None
+    data = "" if out is None else f" or float32 frame of {out.nbytes} bytes"
+    raise ConnectionError(f"expected control frame of at most {_MAX_JSON} bytes "
+                          f"(the cap){data}, got tag {tag} with length {length}")
 
 
 def recv_array_into(sock: socket.socket, out: np.ndarray) -> None:
     """Read one float32 frame of exactly ``out.nbytes`` into contiguous ``out``."""
-    length, tag = _HEAD.unpack(recv_exact(sock, _HEAD.size))
-    if tag != TAG_F32 or length != 1 + out.nbytes:
-        raise ConnectionError(f"expected a float32 frame of {out.nbytes} bytes, "
-                              f"got tag {tag} with length {length}")
-    _fill(sock, out)
-
-
-def _recv_reply(sock: socket.socket, out: np.ndarray | None):
-    """A worker's reply to a plan: its result, a float32 frame of exactly
-    ``out.nbytes`` read into ``out`` (returns None), or a control record
-    (returned).  With ``out`` None only a control record is expected."""
-    size, tag = _recv_head(sock)
-    if tag == TAG_JSON:
-        return _decode_json(recv_exact(sock, size))
-    if out is None or tag != TAG_F32 or size != out.nbytes:
-        raise ConnectionError(f"unexpected reply frame: tag {tag} with {size} bytes")
-    _fill(sock, out)
-    return None
+    if recv_frame(sock, out) is not None:
+        raise ConnectionError(f"expected float32 frame of {out.nbytes} bytes, "
+                              f"got a control record")
 
 
 # --- message plans ----------------------------------------------------------
@@ -300,24 +275,33 @@ def _parse_go(go, rank: int) -> tuple[int, dict[int, int]] | None:
     return (go["p"], ports) if ok else None
 
 
-def _plan_elems(plan, p: int) -> int | None:
-    """The input length of a plan config this worker's mesh of p >= 2
-    workers can run, or None if it cannot.  ``buckets`` lists each
-    bucket's ``[n_elems, algorithm]`` in input order, and ``result`` names
-    the one rank that sends its result back, or is None for every rank."""
-    if not (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p
-            and p >= 2 and _is_int(plan.get("k")) and plan["k"] >= 1
-            and p % plan["k"] == 0 and plan.get("op") in ("sum", "mean")
-            and "result" in plan and (plan["result"] is None or (
-                _is_int(plan["result"]) and 0 <= plan["result"] < p))):
-        return None
-    buckets = plan.get("buckets")
-    if not isinstance(buckets, list) or not buckets or not all(
-            isinstance(b, list) and len(b) == 2 and _is_int(b[0]) and b[0] >= 0
-            and b[1] in ("ring", "hierarchical") for b in buckets):
-        return None
-    n = sum(size for size, _ in buckets)
-    return n if 4 * n < 1 << 32 else None  # one frame's length field holds it
+def _plan_error(plan, p: int) -> str | None:
+    """Why a mesh of p workers cannot run a plan record, or None if it can.
+    ``buckets`` lists each bucket's ``[n_elems, algorithm]`` in input
+    order, and ``result`` names the one rank that sends its result back,
+    or is None for every rank.  The coordinator checks its record before
+    it sends it, and each worker checks the record it receives."""
+    if not (isinstance(plan, dict) and _is_int(plan.get("p")) and plan["p"] == p):
+        return f"plan must be a record for {p} workers"
+    k, result, buckets = plan.get("k"), plan.get("result"), plan.get("buckets")
+    if not (_is_int(k) and k >= 1 and p % k == 0):
+        return f"group size must be an integer >= 1 that divides {p}, got {k!r}"
+    if plan.get("op") not in ("sum", "mean"):
+        return f"unknown reduction op {plan.get('op')!r}"
+    if "result" not in plan or not (result is None or _is_int(result) and 0 <= result < p):
+        return f"result_rank must be a rank below {p} or None, got {result!r}"
+    if not (isinstance(buckets, list) and buckets and all(
+            isinstance(b, (list, tuple)) and len(b) == 2 and _is_int(b[0]) and b[0] >= 0
+            for b in buckets)):
+        return (f"buckets must be one or more [size, algorithm] pairs with "
+                f"non-negative integer sizes, got {buckets!r}")
+    for _, name in buckets:
+        if name not in ("ring", "hierarchical"):
+            return f"unknown algorithm {name!r}"
+    total = sum(size for size, _ in buckets)
+    if 4 * total >= 1 << 32:  # one frame's length field must count the input
+        return f"{total} elements overflow one frame"
+    return None
 
 
 def run_worker(coord_host: str, coord_port: int, rank: int,
@@ -336,7 +320,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     peers: dict[int, socket.socket] = {}
     try:
         send_json(coord, {"hello": rank, "listen_port": listener.getsockname()[1]})
-        mesh = _parse_go(recv_json(coord), rank)
+        mesh = _parse_go(recv_frame(coord), rank)
         if mesh is None:  # a rendezvous error record lands here too
             return 3
         p, peer_ports = mesh
@@ -351,7 +335,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
         for _ in range(p - 1 - rank):
             s, _ = listener.accept()
             _nodelay(s).settimeout(timeout)
-            hello = recv_json(s)
+            hello = recv_frame(s)
             other = hello.get("rank") if isinstance(hello, dict) else None
             if not _is_int(other) or not rank < other < p or other in peers:
                 s.close()
@@ -359,16 +343,15 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
             peers[other] = s
 
         while True:
-            msg = recv_json(coord)
+            msg = recv_frame(coord)
             if not isinstance(msg, dict) or not ("bye" in msg or "plan" in msg):
                 return 3
             if "bye" in msg:
                 return 0
             plan_cfg = msg["plan"]
-            n = _plan_elems(plan_cfg, p)
-            if n is None:
-                return 3
-            inp = np.empty(n, dtype=np.float32)
+            if p < 2 or _plan_error(plan_cfg, p) is not None:
+                return 3  # one worker never opens a socket, so runs no plan
+            inp = np.empty(sum(n for n, _ in plan_cfg["buckets"]), dtype=np.float32)
             recv_array_into(coord, inp)
             try:
                 out = _worker_collective(rank, plan_cfg, inp, peers, die_at_step)
@@ -394,13 +377,6 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
 # --- coordinator ------------------------------------------------------------
 
 
-@dataclass
-class _Member:
-    rank: int
-    sock: socket.socket
-    listen_port: int = 0
-
-
 class TcpCluster:
     """Coordinator side of a persistent worker cluster.
 
@@ -416,7 +392,7 @@ class TcpCluster:
             raise ValueError(f"need at least one worker, got {p}")
         self.p = p
         self.timeout = timeout
-        self._members: list[_Member] = []
+        self._socks: list[socket.socket] = []  # one per rank, in rank order
         self._procs: list[mp.Process] = []
         self._abort: CollectiveAbort | None = None
         self._listener = socket.create_server((HOST, port), backlog=p)
@@ -441,31 +417,31 @@ class TcpCluster:
                 raise
 
     def _rendezvous(self) -> None:
-        seen: dict[int, _Member] = {}
+        seen: dict[int, tuple] = {}  # rank: (socket, its listen port)
         with ExitStack() as accepted:  # closes every accepted socket on a raise
             while len(seen) < self.p:
                 sock, _ = self._listener.accept()
                 accepted.enter_context(sock)
                 _nodelay(sock).settimeout(self.timeout)
                 try:
-                    hello = recv_json(sock)
+                    hello = recv_frame(sock)
                 except (OSError, ConnectionError):
                     # a probe or dropped dial; keep waiting for real claims
                     sock.close()
                     continue
                 claim = hello if isinstance(hello, dict) else {}
-                rank, port = claim.get("hello"), claim.get("listen_port")
+                rank = claim.get("hello")
                 if type(rank) is not int or not 0 <= rank < self.p or rank in seen:
                     send_json(sock, {"error": f"bad or duplicate rank claim: {rank!r}"})
-                    for m in seen.values():
-                        send_json(m.sock, {"error": "rendezvous failed"})
+                    for other, _ in seen.values():
+                        send_json(other, {"error": "rendezvous failed"})
                     raise CollectiveAbort(f"rendezvous rejected rank claim {rank!r}")
-                seen[rank] = _Member(rank=rank, sock=sock, listen_port=port)
+                seen[rank] = sock, claim.get("listen_port")
             accepted.pop_all()
-        self._members = [seen[r] for r in range(self.p)]
-        ports = {m.rank: m.listen_port for m in self._members}
-        for m in self._members:
-            send_json(m.sock, {"peers": ports, "p": self.p})
+        self._socks = [seen[r][0] for r in range(self.p)]
+        ports = {r: seen[r][1] for r in range(self.p)}
+        for sock in self._socks:
+            send_json(sock, {"peers": ports, "p": self.p})
 
     def allreduce(self, buffers, *, algorithm="ring", k: int = 1,
                   op: str = "sum", result_rank: int | None = None
@@ -498,18 +474,12 @@ class TcpCluster:
         n = arrs[0].size
         if any(a.size != n for a in arrs):
             raise ValueError("buffers must share a length")
-        if result_rank is not None and not (_is_int(result_rank)
-                                            and 0 <= result_rank < self.p):
-            raise ValueError(f"result_rank must be a rank below {self.p} or None, "
-                             f"got {result_rank!r}")
-        if op not in ("sum", "mean"):
-            raise ValueError(f"unknown reduction op {op!r}")
-        if not (_is_int(k) and k >= 1):  # _schedule's cache would take True as 1
-            raise ValueError(f"group size must be an integer >= 1, got {k!r}")
         buckets = [(n, algorithm)] if isinstance(algorithm, str) else list(algorithm)
-        if not buckets or not all(_is_int(size) and size >= 0 for size, _ in buckets):
-            raise ValueError(f"buckets must be one or more non-negative integer "
-                             f"sizes, got {buckets!r}")
+        plan = {"buckets": buckets, "p": self.p, "k": k, "op": op,
+                "result": result_rank}
+        reason = _plan_error(plan, self.p)  # the rule every worker applies
+        if reason is not None:
+            raise ValueError(reason)
         total = sum(size for size, _ in buckets)
         if total != n:
             raise ValueError(f"bucket sizes sum to {total}, but the buffers hold "
@@ -520,11 +490,9 @@ class TcpCluster:
         if self.p == 1:
             return [fold_ascending(arrs, op)], sched
 
-        plan = {"buckets": buckets, "p": self.p, "k": k, "op": op,
-                "result": result_rank}
-        for m, arr in zip(self._members, arrs):
-            send_json(m.sock, {"plan": plan})
-            send_array(m.sock, arr)
+        for sock, arr in zip(self._socks, arrs):
+            send_json(sock, {"plan": plan})
+            send_array(sock, arr)
 
         # Drain every member before deciding the outcome: the crashed
         # worker itself reports nothing, so the step index comes from
@@ -533,10 +501,10 @@ class TcpCluster:
         results = np.empty((len(wanted), n), dtype=np.float32)
         reported_abort: dict | None = None
         vanished: tuple[int, Exception] | None = None
-        for m in self._members:
-            out = results[wanted.index(m.rank)] if m.rank in wanted else None
+        for rank, sock in enumerate(self._socks):
+            out = results[wanted.index(rank)] if rank in wanted else None
             try:
-                status = _recv_reply(m.sock, out)
+                status = recv_frame(sock, out)
                 if status is None:  # the result frame stands for done
                     continue
                 if isinstance(status, dict) and "abort" in status:
@@ -544,7 +512,7 @@ class TcpCluster:
                 elif out is not None or not (isinstance(status, dict) and "done" in status):
                     raise ConnectionError(f"unexpected reply {status!r}")
             except (OSError, ConnectionError) as exc:
-                vanished = vanished or (m.rank, exc)
+                vanished = vanished or (rank, exc)
         if reported_abort is not None:
             self._abort = CollectiveAbort(
                 f"worker {reported_abort['rank']} aborted at step "
@@ -558,13 +526,13 @@ class TcpCluster:
 
     def close(self) -> None:
         self._listener.close()
-        for m in self._members:
+        for sock in self._socks:
             try:
-                send_json(m.sock, {"bye": True})
+                send_json(sock, {"bye": True})
             except OSError:
                 pass
-            m.sock.close()
-        self._members = []
+            sock.close()
+        self._socks = []
         for proc in self._procs:
             proc.join(timeout=self.timeout)
             if proc.is_alive():

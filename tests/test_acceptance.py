@@ -20,7 +20,7 @@ from gradsync.collectives import (
     ring_allreduce,
     ring_schedule,
 )
-from gradsync.experiment import ablation_pair
+from gradsync.experiment import ablation_pair, preset_config
 from gradsync.fusion import FusedBatch, FusionBuffer, unpack
 from gradsync.halfprec import (
     LossScale,
@@ -252,10 +252,10 @@ def test_lars_rate_oracle_scale_invariance_and_master_accumulation(param_group):
 
 def test_ablations_win_on_seed_majority():
     start = time.monotonic()
-    lars_wins = sum(ablation_pair("lars", seed=s)["with_wins"]
-                    for s in range(5))
-    decay_wins = sum(ablation_pair("decay", seed=s)["with_wins"]
-                     for s in range(5))
+    lars_wins = sum(ablation_pair("lars", preset_config("lars-ablation", [f"seed={s}"]))
+                    ["with_wins"] for s in range(5))
+    decay_wins = sum(ablation_pair("decay", preset_config("decay-ablation", [f"seed={s}"]))
+                     ["with_wins"] for s in range(5))
     assert lars_wins >= 3, f"norm-quotient rates won only {lars_wins}/5 seeds"
     assert decay_wins >= 3, f"decay exemption won only {decay_wins}/5 seeds"
     assert time.monotonic() - start < 300.0

@@ -127,6 +127,27 @@ def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     assert "GRADSYNC_SEED" in err
 
 
+def test_pair_preset_takes_a_seed_from_set_as_from_the_flag(tmp_path, capsys):
+    args = ["run", "--preset", "lars-ablation", "--set", "steps=2", "--out", str(tmp_path)]
+    rc, by_set, _ = run_cli(capsys, args + ["--set", "seed=5"])
+    assert rc == 0 and json.loads(by_set)["seed"] == 5
+    rc, by_flag, _ = run_cli(capsys, args + ["--seed", "5"])
+    assert rc == 0 and by_flag == by_set
+    rc, unseeded, _ = run_cli(capsys, args)  # seed 0 trains another pair
+    assert rc == 0 and json.loads(unseeded)["loss_with"] != json.loads(by_set)["loss_with"]
+
+
+def test_pair_preset_reads_the_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"steps": 2}))
+    rc, by_file, _ = run_cli(capsys, ["run", "--preset", "mixed-vs-fp32",
+                                      "--config", str(cfg_file)])
+    assert rc == 0
+    rc, by_set, _ = run_cli(capsys, ["run", "--preset", "mixed-vs-fp32",
+                                     "--set", "steps=2"])
+    assert rc == 0 and by_file == by_set
+
+
 def test_stepcount_preset_table(capsys):
     rc, out, _ = run_cli(capsys, ["run", "--preset", "stepcount-vs-paper"])
     assert rc == 0

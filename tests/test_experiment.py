@@ -362,6 +362,25 @@ def test_unshardable_batch_is_rejected():
     assert "batch" in str(err.value)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(group_size=2.0), dict(workers=4.0), dict(group_size=True), dict(steps=3.0),
+    dict(workers=4.0, group_size=True, steps=3.0, seed=1.5, hidden=(8, 2.0)),
+    dict(hidden=(True,)),
+], ids=["group-float", "workers-float", "group-bool", "steps-float", "several", "hidden-bool"])
+def test_integer_fields_reject_floats_and_bools_before_touching_disk(tmp_path, fields):
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigError) as err:
+        run_experiment(ExperimentConfig(**fields), out_root=out)
+    for field in fields:
+        assert any(problem.startswith(field) for problem in err.value.problems), field
+    assert not out.exists()
+
+
+def test_integer_fields_take_numpy_integers():
+    ExperimentConfig(workers=np.int64(4), group_size=np.int32(2),
+                     hidden=(np.int64(8),)).validate()
+
+
 def test_dynamic_scale_backs_off_then_recovers(tmp_path):
     # 2**24 puts scaled gradients just over the half-precision ceiling, so
     # the first steps skip while the scale halves its way back under it
@@ -459,8 +478,8 @@ def test_activation_stats_every_tenth_step(tmp_path):
 
 
 def test_ablation_pair_reports_both_arms():
-    pair = ablation_pair("precision", seed=0, overrides=(
-        "steps=4", "samples=32", "batch_size=8", "workers=2", "hidden=8"))
+    pair = ablation_pair("precision", preset_config("mixed-vs-fp32", [
+        "steps=4", "samples=32", "batch_size=8", "workers=2", "hidden=8"]))
     assert pair["kind"] == "precision"
     assert pair["flipped"] == {"mixed": False}
     assert math.isfinite(pair["loss_with"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import socket
 import sys
 import threading
@@ -38,7 +39,7 @@ def test_frame_roundtrip_f32_json():
         assert np.array_equal(got, vec)
 
         tcp.send_json(a, {"hello": 3, "listen_port": 1234})
-        assert tcp.recv_json(b) == {"hello": 3, "listen_port": 1234}
+        assert tcp.recv_frame(b) == {"hello": 3, "listen_port": 1234}
     finally:
         a.close()
         b.close()
@@ -63,7 +64,7 @@ def test_frame_rejects_wrong_kind():
     try:
         tcp.send_array(a, np.ones(2, dtype=np.float32))
         with pytest.raises(ConnectionError, match="expected control frame"):
-            tcp.recv_json(b)
+            tcp.recv_frame(b)
     finally:
         a.close()
         b.close()
@@ -74,7 +75,7 @@ def test_frame_rejects_unknown_tag():
     try:
         tcp.send_frame(a, 7, b"\x00\x00\x80\x3f")
         with pytest.raises(ConnectionError, match="tag 7"):
-            tcp.recv_json(b)
+            tcp.recv_frame(b)
     finally:
         a.close()
         b.close()
@@ -86,7 +87,7 @@ def test_frame_rejects_unknown_tag_before_the_body():
         b.settimeout(5)  # reading the promised body would time out instead
         a.sendall(tcp._HEAD.pack(1000, 7))
         with pytest.raises(ConnectionError, match="tag 7"):
-            tcp.recv_json(b)
+            tcp.recv_frame(b)
     finally:
         a.close()
         b.close()
@@ -98,7 +99,7 @@ def test_control_frames_are_capped():
         b.settimeout(5)
         a.sendall(tcp._HEAD.pack(2 + tcp._MAX_JSON, tcp.TAG_JSON))
         with pytest.raises(ConnectionError, match="cap"):
-            tcp.recv_json(b)
+            tcp.recv_frame(b)
     finally:
         a.close()
         b.close()
@@ -109,7 +110,7 @@ def test_control_frames_are_capped():
         sender = threading.Thread(
             target=tcp.send_frame, args=(a, tcp.TAG_JSON, record.encode()))
         sender.start()
-        assert tcp.recv_json(b) == record[1:-1]
+        assert tcp.recv_frame(b) == record[1:-1]
         sender.join(timeout=5)
         assert not sender.is_alive()
     finally:
@@ -124,21 +125,46 @@ def test_recv_json_rejects_undecodable_payload():
         tcp.send_frame(a, tcp.TAG_JSON, b"\xff\xfe")
         for _ in range(2):
             with pytest.raises(ConnectionError, match="undecodable"):
-                tcp.recv_json(b)
+                tcp.recv_frame(b)
     finally:
         a.close()
         b.close()
 
 
-def worker_exit_code(rank, go, *records, peer_hello=None):
+def test_null_control_record_is_rejected():
+    # None is what the reader returns once it has filled out
+    a, b = socket.socketpair()
+    try:
+        tcp.send_frame(a, tcp.TAG_JSON, b"null")
+        with pytest.raises(ConnectionError, match="null"):
+            tcp.recv_frame(b, np.empty(1, dtype=np.float32))
+    finally:
+        a.close()
+        b.close()
+
+
+def send_records(sock, records):
+    """Send each record: bytes as a float32 frame's payload, anything else
+    as a control frame."""
+    for record in records:
+        if isinstance(record, bytes):
+            tcp.send_frame(sock, tcp.TAG_F32, record)
+        else:
+            tcp.send_frame(sock, tcp.TAG_JSON, json.dumps(record).encode())
+
+
+def worker_exit_code(rank, go, *records, peer_hello=None, peer_records=(),
+                     replies=None):
     """Exit code of one worker thread run against a fake coordinator.
 
     The coordinator answers the worker's hello with ``go`` (a callable
-    gets the port of a fake rank-0 peer, which only listens), then sends
-    each record: a dict as a control frame, bytes as a float32 frame's
-    payload.  With ``peer_hello``, a fake higher-rank peer dials the
-    worker and sends it instead.  Returns None if the worker raised
-    instead of returning.
+    gets the port of a fake rank-0 peer), then sends each record with
+    ``send_records``.  The fake peer only listens, unless there are
+    ``peer_records``: then it accepts the worker's dial and sends those.
+    With ``peer_hello``, a fake higher-rank peer dials the worker and
+    sends it instead.  A ``replies`` list gets every control record that
+    the worker sends the coordinator after its hello.  Returns None if
+    the worker raised instead of returning.
     """
     with socket.create_server((tcp.HOST, 0)) as server, \
             socket.create_server((tcp.HOST, 0)) as peer:
@@ -150,21 +176,26 @@ def worker_exit_code(rank, go, *records, peer_hello=None):
         coord, _ = server.accept()
         with coord:
             coord.settimeout(10)
-            hello = tcp.recv_json(coord)
+            hello = tcp.recv_frame(coord)
             assert hello["hello"] == rank
             doc = go(peer.getsockname()[1]) if callable(go) else go
-            tcp.send_frame(coord, tcp.TAG_JSON, json.dumps(doc).encode())
-            for record in records:
-                if isinstance(record, bytes):
-                    tcp.send_frame(coord, tcp.TAG_F32, record)
-                else:
-                    tcp.send_frame(coord, tcp.TAG_JSON, json.dumps(record).encode())
+            send_records(coord, [doc, *records])
             with ExitStack() as dials:
                 if peer_hello is not None:
                     dial = dials.enter_context(socket.create_connection(
                         (tcp.HOST, hello["listen_port"]), timeout=10))
-                    tcp.send_frame(dial, tcp.TAG_JSON, json.dumps(peer_hello).encode())
+                    send_records(dial, [peer_hello])
+                if peer_records:
+                    peer.settimeout(10)
+                    dial = dials.enter_context(peer.accept()[0])
+                    dial.settimeout(10)
+                    assert tcp.recv_frame(dial) == {"rank": rank}
+                    send_records(dial, peer_records)
                 worker.join(timeout=10)
+            if replies is not None:
+                with pytest.raises(ConnectionError):  # the worker hung up
+                    while True:
+                        replies.append(tcp.recv_frame(coord))
     assert not worker.is_alive()
     return codes[0] if codes else None
 
@@ -209,7 +240,8 @@ def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
     assert worker_exit_code(1, mesh_of_2, record) == 3
 
 
-@pytest.mark.parametrize("plan", [
+# plans that the plan rule rejects on its own, whatever input follows
+MALFORMED_PLANS = [
     pytest.param(plan_of(p=None), id="no-p"),
     pytest.param(plan_of(p=3), id="p-not-the-mesh"),
     pytest.param(plan_of(p=2.0), id="p-a-float"),
@@ -236,15 +268,46 @@ def test_worker_exits_3_on_a_record_that_is_neither_bye_nor_plan(record):
     pytest.param(plan_of(buckets=[[True, "ring"], [1, "ring"]]), id="size-a-bool"),
     pytest.param(plan_of(buckets=[[2.0, "ring"]]), id="size-a-float"),
     pytest.param(plan_of(buckets=[[1, "ring"], [1, "tree"]]), id="tree-in-second-bucket"),
-    pytest.param(plan_of(buckets=[[1, "ring"], [2, "ring"]]), id="sizes-over-the-input"),
-    pytest.param(plan_of(buckets=[[1, "ring"]]), id="sizes-under-the-input"),
     # more elements than one frame's length field can count, and than numpy
     # can allocate: rejected before anything is sized by it
     pytest.param(plan_of(buckets=[[1 << 62, "ring"]]), id="sizes-past-one-frame"),
+]
+
+
+@pytest.mark.parametrize("plan", MALFORMED_PLANS + [
+    # well-formed plans whose sizes do not match the input frame
+    pytest.param(plan_of(buckets=[[1, "ring"], [2, "ring"]]), id="sizes-over-the-input"),
+    pytest.param(plan_of(buckets=[[1, "ring"]]), id="sizes-under-the-input"),
 ])
 def test_worker_exits_3_on_a_malformed_plan(plan):
     # the input frame holds two float32 elements
     assert worker_exit_code(1, mesh_of_2, plan, b"\x00" * 8) == 3
+
+
+@pytest.mark.parametrize("plan", MALFORMED_PLANS)
+def test_plan_rule_gives_every_malformed_plan_a_reason(plan):
+    reason = tcp._plan_error(plan["plan"], 2)
+    assert isinstance(reason, str) and reason
+
+
+def test_plan_rule_holds_the_input_to_one_frame():
+    # a frame's u32 length field counts the tag byte and 4 bytes an element
+    assert tcp._plan_error(plan_of()["plan"], 2) is None
+    plan = plan_of(buckets=[[(1 << 30) - 1, "ring"]])["plan"]
+    assert tcp._plan_error(plan, 2) is None
+    plan = plan_of(buckets=[[1 << 30, "ring"]])["plan"]
+    assert "frame" in tcp._plan_error(plan, 2)
+
+
+def test_worker_aborts_on_a_control_frame_where_data_is_due():
+    # rank 0 sends its round-0 chunk, then a control record in place of
+    # round 1's float32 frame: the worker exits 3, and its abort record
+    # names round 1
+    replies = []
+    code = worker_exit_code(1, mesh_of_2, plan_of(), b"\x00" * 8,
+                            peer_records=[b"\x00" * 4, {"done": 0}], replies=replies)
+    assert code == 3
+    assert replies == [{"abort": 1, "rank": 1}]
 
 
 def test_worker_exits_3_on_a_plan_for_one_worker():
@@ -269,7 +332,7 @@ def test_empty_array_frame():
         tcp.send_array(a, empty)
         tcp.send_array(a, empty)
         tcp.recv_array_into(b, empty)
-        assert tcp._recv_reply(b, empty) is None
+        assert tcp.recv_frame(b, empty) is None
     finally:
         a.close()
         b.close()
@@ -357,10 +420,10 @@ def test_frame_decoders_return_or_raise_connection_error(wire, decoder, n_out):
         sender = threading.Thread(target=send)
         sender.start()
         out = np.zeros(n_out, dtype=np.float32)
-        read = {"json": tcp.recv_json,
+        read = {"json": tcp.recv_frame,
                 "into": lambda sock: tcp.recv_array_into(sock, out),
-                "reply": lambda sock: tcp._recv_reply(sock, out),
-                "reply-none": lambda sock: tcp._recv_reply(sock, None)}[decoder]
+                "reply": lambda sock: tcp.recv_frame(sock, out),
+                "reply-none": lambda sock: tcp.recv_frame(sock, None)}[decoder]
         taken = 0
         with pytest.raises(ConnectionError):
             while True:  # every frame in the bytes, then the hang-up
@@ -389,7 +452,7 @@ def test_length_field_does_not_size_the_reads():
 
     wire = Wire(tcp._HEAD.pack(1 + tcp._MAX_JSON, tcp.TAG_JSON) + b"\x00" * 10)
     with pytest.raises(ConnectionError, match="closed"):
-        tcp.recv_json(wire)
+        tcp.recv_frame(wire)
     assert max(wire.asked) <= 1 << 20
 
 
@@ -641,21 +704,41 @@ def test_one_name_is_the_one_bucket_case():
                 assert np.array_equal(got, ref) and np.array_equal(also, ref)
 
 
-@pytest.mark.parametrize("call,match", [
-    (dict(algorithm=[(10, "ring"), (5, "hierarchical")]), "sum to 15"),
-    (dict(algorithm=[(10, "ring"), (3, "hierarchical")]), "sum to 13"),
-    (dict(algorithm=[(6, "ring"), (6, "tree")]), "unknown algorithm"),
-    (dict(algorithm=[(13, "ring"), (-1, "ring")]), "non-negative"),
-    (dict(algorithm=[(True, "ring"), (11, "ring")]), "non-negative"),
-    (dict(algorithm=[(12.0, "ring")]), "non-negative"),
-    (dict(algorithm=[]), "non-negative"),
-    (dict(algorithm="ring", op="max"), "unknown reduction op"),
+# calls on four 12-element buffers with k = 2 that the plan rule rejects,
+# and what its reason says
+BAD_CALLS = [
+    pytest.param(dict(algorithm=[(6, "ring"), (6, "tree")]), "unknown algorithm", id="tree"),
+    pytest.param(dict(algorithm=[(13, "ring"), (-1, "ring")]), "non-negative", id="negative"),
+    pytest.param(dict(algorithm=[(True, "ring"), (11, "ring")]), "non-negative", id="bool"),
+    pytest.param(dict(algorithm=[(12.0, "ring")]), "non-negative", id="float"),
+    pytest.param(dict(algorithm=[]), "non-negative", id="empty"),
+    pytest.param(dict(algorithm="ring", op="max"), "unknown reduction op", id="op-max"),
     # Topology takes True as 1, but every worker would reject the plan
-    (dict(algorithm="hierarchical", k=True), "group size"),
-    (dict(algorithm="ring", k=True), "group size"),
-    (dict(algorithm="ring", k=2.0), "group size"),
-], ids=["over", "under", "tree", "negative", "bool", "float", "empty", "op-max",
-        "k-bool-hierarchical", "k-bool-ring", "k-float"])
+    pytest.param(dict(algorithm="hierarchical", k=True), "group size",
+                 id="k-bool-hierarchical"),
+    pytest.param(dict(algorithm="ring", k=True), "group size", id="k-bool-ring"),
+    pytest.param(dict(algorithm="ring", k=2.0), "group size", id="k-float"),
+]
+
+
+@pytest.mark.parametrize("call,match", BAD_CALLS)
+def test_plan_rule_gives_every_bad_call_its_reason(call, match):
+    # the plan record that TcpCluster.allreduce builds for the call
+    call = {"k": 2, "op": "sum", "result_rank": None, **call}
+    algorithm = call["algorithm"]
+    buckets = [(12, algorithm)] if isinstance(algorithm, str) else list(algorithm)
+    plan = {"buckets": buckets, "p": 4, "k": call["k"], "op": call["op"],
+            "result": call["result_rank"]}
+    assert re.search(match, tcp._plan_error(plan, 4))
+
+
+@pytest.mark.parametrize("call,match", [
+    # sizes that miss the buffers: the one check the coordinator keeps
+    pytest.param(dict(algorithm=[(10, "ring"), (5, "hierarchical")]), "sum to 15",
+                 id="over"),
+    pytest.param(dict(algorithm=[(10, "ring"), (3, "hierarchical")]), "sum to 13",
+                 id="under"),
+] + BAD_CALLS)
 def test_bad_call_is_rejected_before_anything_is_sent(monkeypatch, call, match):
     bufs = rand_buffers(4, 12, seed=8)
     with TcpCluster(4, timeout=20) as cluster:
@@ -706,7 +789,7 @@ def test_abort_names_the_round_in_the_whole_step_plan(p, k, buckets, die):
 def test_single_worker_skips_sockets_entirely():
     buf = np.linspace(-1, 1, 17, dtype=np.float32)
     with TcpCluster(1) as cluster:
-        assert cluster._procs == [] and cluster._members == []
+        assert cluster._procs == [] and cluster._socks == []
         out, sched = cluster.allreduce([buf])
     assert np.array_equal(out[0], buf)
     assert sched.total_steps == 0
@@ -754,30 +837,31 @@ def test_one_rank_result_comes_back_alone(monkeypatch):
     # it is the asked rank's result, bitwise the in-memory one; every
     # other worker replies with a control record
     received, records = [], []
-    recv_reply = tcp._recv_reply
+    recv_frame = tcp.recv_frame
 
-    def counted(sock, out):
-        status = recv_reply(sock, out)
+    def counted(sock, out=None):
+        status = recv_frame(sock, out)
         if status is None:
             received.append(out.size)
         else:
             records.append(status)
         return status
 
-    monkeypatch.setattr(tcp, "_recv_reply", counted)
+    monkeypatch.setattr(tcp, "recv_frame", counted)
     bufs = rand_buffers(4, 37, seed=12)
     with TcpCluster(4, timeout=20) as cluster:
         for algorithm, k, rank in (("ring", 1, 0), ("hierarchical", 2, 3),
                                    ("ring", 2, 2)):
             received.clear()
+            records.clear()  # the rendezvous hellos pass through the reader too
             wire, _ = cluster.allreduce(bufs, algorithm=algorithm, k=k, op="mean",
                                         result_rank=rank)
             mem, _ = ring_allreduce(bufs, op="mean")
             assert len(wire) == 1 and np.array_equal(wire[0], mem[rank])
             assert received == [37]
             assert sorted(r["done"] for r in records) == [r for r in range(4) if r != rank]
-            records.clear()
         received.clear()
+        records.clear()
         wire, _ = cluster.allreduce(bufs)  # every rank, as before
         assert len(wire) == 4 and received == [37] * 4 and not records
         for bad in (4, -1, True, 1.0):
@@ -850,9 +934,9 @@ def test_rendezvous_rejects_duplicate_rank():
     t.start()
     c1 = _connect_retry(port, 0)
     c2 = _claim(port, 0)
-    reply2 = tcp.recv_json(c2)
+    reply2 = tcp.recv_frame(c2)
     assert "error" in reply2 and "duplicate" in reply2["error"]
-    reply1 = tcp.recv_json(c1)
+    reply1 = tcp.recv_frame(c1)
     assert "error" in reply1
     t.join(timeout=5)
     assert errors and errors[0].args[0].startswith("rendezvous")
@@ -866,7 +950,7 @@ def test_rendezvous_rejects_out_of_range_rank():
     t = threading.Thread(target=_boot_unspawned, args=(port, errors))
     t.start()
     c = _connect_retry(port, 7)
-    reply = tcp.recv_json(c)
+    reply = tcp.recv_frame(c)
     assert "error" in reply
     t.join(timeout=5)
     assert errors
@@ -885,7 +969,7 @@ def test_rendezvous_rejects_a_malformed_hello(hello):
     c2.settimeout(5)
     try:
         tcp.send_frame(c2, tcp.TAG_JSON, hello)
-        assert "error" in tcp.recv_json(c2) and "error" in tcp.recv_json(c1)
+        assert "error" in tcp.recv_frame(c2) and "error" in tcp.recv_frame(c1)
         t.join(timeout=5)
         assert not t.is_alive()
         assert len(errors) == 1 and isinstance(errors[0], CollectiveAbort)
@@ -903,7 +987,7 @@ def test_rejected_rendezvous_closes_every_socket():
     c1 = _connect_retry(port, 0)
     c2 = _claim(port, 0)
     try:
-        assert "error" in tcp.recv_json(c2) and "error" in tcp.recv_json(c1)
+        assert "error" in tcp.recv_frame(c2) and "error" in tcp.recv_frame(c1)
         t.join(timeout=5)
         assert errors
         # the coordinator's ends of both claims and its listener are closed
@@ -949,7 +1033,7 @@ def test_every_socket_sets_nodelay(monkeypatch):
     assert not boot.is_alive()
     cluster = box["cluster"]
     try:
-        assert all(_nodelay_on(m.sock) for m in cluster._members)
+        assert all(_nodelay_on(sock) for sock in cluster._socks)
         bufs = rand_buffers(2, 16, seed=4)
         wire, _ = cluster.allreduce(bufs)
         mem, _ = ring_allreduce(bufs)
