@@ -109,7 +109,10 @@ def _cmd_sweep(args) -> int:
         "group_size": args.group_size,
         "rows": rows,
         "crossover_bytes": cross,
-        "suggested_hybrid_eta": cross if cross is not None else 0,
+        "hierarchical_throughout": cross is None,
+        # hierarchical strictly below the threshold: with no crossover, one
+        # above the largest sample keeps every sampled size hierarchical
+        "suggested_hybrid_eta": cross if cross is not None else rows[-1]["bytes"] + 1,
     })
     return EXIT_OK
 

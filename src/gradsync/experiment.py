@@ -101,6 +101,15 @@ class ExperimentConfig:
     intra_bandwidth: float | None = None
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        # numpy integers pass validate's whole-number check; keep them as
+        # plain ints, which the config hash, the artifacts and TCP take
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "int" and _is_whole(getattr(self, name)):
+                setattr(self, name, int(getattr(self, name)))
+        if isinstance(self.hidden, (list, tuple)):
+            self.hidden = tuple(int(h) if _is_whole(h) else h for h in self.hidden)
+
     def validate(self) -> None:
         bad: list[str] = [f"{name} must be finite, got {value}"
                           for name, value in vars(self).items()
@@ -463,6 +472,7 @@ def _write(run_dir: Path, config_hash: str, run: _Run, rows: list, final: dict) 
 
 
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> dict:
+    cfg = dataclasses.replace(cfg)  # a copy, with plain ints (see __post_init__)
     cfg.validate()
     out_base = Path(out_root if out_root is not None else cfg.out_dir)
     config_hash = cfg.config_hash()

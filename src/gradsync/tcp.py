@@ -14,9 +14,13 @@ wire rounds therefore differ from the cost model's ring-pass step
 accounting, which stays the authority for simulated time.)
 
 One coordinator exchange covers a whole collective, however many
-buckets split the vector.  Each worker gets one plan record, which lists
-the buckets as ``[n_elems, algorithm]`` in vector order, and one input
-frame, which it receives in place into a buffer sized by the plan.  It
+buckets split the vector.  The plan record lists the buckets as
+``[n_elems, algorithm]`` in vector order.  The coordinator sends it
+before the first collective and again only when a call's plan differs,
+and the worker builds its buffers and every round's block views once
+per record.  Each collective then sends each worker one input frame,
+which it receives in place into the buffer the plan sized.  A worker
+that holds a plan takes only that frame, a new plan or ``bye`` next.  It
 runs each bucket's table over its slice, one bucket after another, and
 numbers the rounds on across the buckets, so an abort names a round of
 the whole plan.  Then the rank that the plan names for the result
@@ -215,42 +219,62 @@ def _in_order(rank: int, sends, recvs):
     return io[::-1] if sends and sends[0][0] < rank else io
 
 
-def _worker_collective(rank: int, plan_cfg: dict, inp: np.ndarray,
+def _standing_plan(rank: int, plan_cfg: dict):
+    """Everything this worker needs to run a plan record, built once per
+    record: ``(inp, own, out, rounds)``.  Each collective's input lands in
+    ``inp``, and ``own`` pairs each bucket's row of its (p, n) raw input
+    matrix with that bucket's slice of ``inp``.  ``out`` is the reduced
+    vector.  ``rounds`` lists every bucket's rounds, one bucket after
+    another, as ``(moves, fold)``: the moves are ``(send_array or
+    recv_array_into, peer, block view)`` in ``_in_order``'s order, and
+    ``fold`` is None or ``(span of out, the raw rows over that span)``."""
+    p, k = plan_cfg["p"], plan_cfg["k"]
+    total = sum(n for n, _ in plan_cfg["buckets"])
+    inp, out = np.empty(total, dtype=np.float32), np.empty(total, dtype=np.float32)
+    raws = np.empty(p * total, dtype=np.float32)  # the raw matrices, back to back
+    own, rounds, start = [], [], 0
+    for n, algorithm in plan_cfg["buckets"]:
+        flat, res = raws[p * start:p * (start + n)], out[start:start + n]
+        raw = flat.reshape(p, n)
+        own.append((raw[rank], inp[start:start + n]))
+
+        def view(block):  # in this bucket
+            row, (lo, hi) = block
+            return res[lo:hi] if row is None else flat[row * n + lo:row * n + hi]
+
+        plan = _ring_plan(rank, p, n) if algorithm == "ring" else _hier_plan(rank, p, k, n)
+        for sends, recvs, fold in plan:
+            moves = [(move, peer, view(block))
+                     for move, peer, block in _in_order(rank, sends, recvs)]
+            if fold is not None:
+                fold = res[fold[0]:fold[1]], list(raw[:, fold[0]:fold[1]])
+            rounds.append((moves, fold))
+        start += n
+    return inp, own, out, rounds
+
+
+def _worker_collective(rank: int, standing, op: str,
                        peers: dict[int, socket.socket], die_at_step: int | None):
-    """Run this worker's plan for each bucket of ``inp``, one bucket after
-    another (p >= 2: one worker never opens a socket).  Round indices run
+    """Run a standing plan over the input in its ``inp`` and return its
+    ``out`` (p >= 2: one worker never opens a socket).  Round indices run
     on across the buckets, so a failure names its round in the whole plan.
     Each round has at most one send and one receive, made in the order
     ``_in_order`` gives, so no round deadlocks (see the module docstring)."""
-    p, k, op = plan_cfg["p"], plan_cfg["k"], plan_cfg["op"]
-    out = np.empty(inp.size, dtype=np.float32)
-    # each bucket's (p, n) raw input matrix, back to back
-    raws = np.empty(p * inp.size, dtype=np.float32)
-    rounds, start = [], 0  # (bucket's raw matrix, its result slice, round)
-    for n, algorithm in plan_cfg["buckets"]:
-        raw = raws[p * start:p * (start + n)].reshape(p, n)
-        raw[rank] = inp[start:start + n]
-        plan = _ring_plan(rank, p, n) if algorithm == "ring" else _hier_plan(rank, p, k, n)
-        rounds += [(raw, out[start:start + n], rnd) for rnd in plan]
-        start += n
-
-    def view(block):  # in the current round's bucket
-        row, (lo, hi) = block
-        return res[lo:hi] if row is None else flat[row * n + lo:row * n + hi]
-
-    for step, (raw, res, (sends, recvs, fold)) in enumerate(rounds):
+    _, own, out, rounds = standing
+    for row, part in own:
+        row[:] = part
+    for step, (moves, fold) in enumerate(rounds):
         if step == die_at_step:
             os._exit(17)
-        flat, n = raw.reshape(-1), raw.shape[1]
         try:
-            for move, peer, block in _in_order(rank, sends, recvs):
-                move(peers[peer], view(block))
+            for move, peer, view in moves:
+                move(peers[peer], view)
         except (OSError, ConnectionError) as exc:
             raise CollectiveAbort(f"worker {rank} failed at step {step}: {exc}",
                                   step=step) from exc
         if fold is not None:
-            lo, hi = fold
-            res[lo:hi] = fold_ascending(list(raw[:, lo:hi]), op)
+            res, rows = fold
+            res[:] = fold_ascending(rows, op)
     return out
 
 
@@ -342,29 +366,33 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
                 return 3
             peers[other] = s
 
+        # Once a plan is held, the next frame is its input, a new plan or bye.
+        plan_cfg = standing = None
         while True:
-            msg = recv_frame(coord)
-            if not isinstance(msg, dict) or not ("bye" in msg or "plan" in msg):
-                return 3
-            if "bye" in msg:
-                return 0
-            plan_cfg = msg["plan"]
-            if p < 2 or _plan_error(plan_cfg, p) is not None:
-                return 3  # one worker never opens a socket, so runs no plan
-            inp = np.empty(sum(n for n, _ in plan_cfg["buckets"]), dtype=np.float32)
-            recv_array_into(coord, inp)
-            try:
-                out = _worker_collective(rank, plan_cfg, inp, peers, die_at_step)
-            except CollectiveAbort as exc:
+            msg = recv_frame(coord, None if standing is None else standing[0])
+            if msg is None:  # the input, read into the standing plan's inp
                 try:
-                    send_json(coord, {"abort": exc.step, "rank": rank})
-                except OSError:
-                    pass
-                return 3
-            if plan_cfg["result"] in (None, rank):
-                send_array(coord, out)  # the result stands for done
+                    out = _worker_collective(rank, standing, plan_cfg["op"], peers,
+                                             die_at_step)
+                except CollectiveAbort as exc:
+                    try:
+                        send_json(coord, {"abort": exc.step, "rank": rank})
+                    except OSError:
+                        pass
+                    return 3
+                if plan_cfg["result"] in (None, rank):
+                    send_array(coord, out)  # the result stands for done
+                else:
+                    send_json(coord, {"done": rank})
+            elif isinstance(msg, dict) and "bye" in msg:
+                return 0
+            elif isinstance(msg, dict) and "plan" in msg:
+                plan_cfg = msg["plan"]
+                if p < 2 or _plan_error(plan_cfg, p) is not None:
+                    return 3  # one worker never opens a socket, so runs no plan
+                standing = _standing_plan(rank, plan_cfg)
             else:
-                send_json(coord, {"done": rank})
+                return 3
     except (OSError, ConnectionError):
         return 3
     finally:
@@ -395,6 +423,7 @@ class TcpCluster:
         self._socks: list[socket.socket] = []  # one per rank, in rank order
         self._procs: list[mp.Process] = []
         self._abort: CollectiveAbort | None = None
+        self._held: bytes | None = None  # the plan record the workers hold
         self._listener = socket.create_server((HOST, port), backlog=p)
         self._listener.settimeout(timeout)
         self.port = self._listener.getsockname()[1]
@@ -453,7 +482,8 @@ class TcpCluster:
         the buckets that split it, in order, as ``[(n_elems, algorithm),
         ...]``; each bucket runs its own schedule, and the list of their
         schedules comes back in place of one.  Either way each worker gets
-        one plan record and one input frame, and replies once.  With
+        one input frame, and replies once; it gets the plan record first
+        only when the plan differs from the one it holds.  With
         ``result_rank`` only that rank sends its result back, and the list
         holds just that one.  Every other worker still reports done or
         abort, so a failure anywhere is caught either way.
@@ -490,9 +520,18 @@ class TcpCluster:
         if self.p == 1:
             return [fold_ascending(arrs, op)], sched
 
-        for sock, arr in zip(self._socks, arrs):
-            send_json(sock, {"plan": plan})
-            send_array(sock, arr)
+        # Every worker keeps the last plan record it got, so a call whose
+        # plan is unchanged sends the inputs alone.
+        record = json.dumps({"plan": plan}).encode()
+        try:
+            for rank, (sock, arr) in enumerate(zip(self._socks, arrs)):
+                if record != self._held:
+                    send_frame(sock, TAG_JSON, record)
+                send_array(sock, arr)
+        except OSError as exc:
+            self._abort = CollectiveAbort(f"sending to worker {rank} failed: {exc}")
+            raise self._abort from exc
+        self._held = record
 
         # Drain every member before deciding the outcome: the crashed
         # worker itself reports nothing, so the step index comes from

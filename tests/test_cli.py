@@ -12,6 +12,7 @@ import pytest
 
 from gradsync import tcp
 from gradsync.cli import main
+from gradsync.collectives import choose_algorithm
 
 
 def run_cli(capsys, argv):
@@ -207,6 +208,27 @@ def test_sweep_finds_regime_change(capsys):
     assert doc["suggested_hybrid_eta"] == doc["crossover_bytes"]
     crossing = [r for r in rows if r["bytes"] == doc["crossover_bytes"]][0]
     assert crossing["faster"] == "ring"
+
+
+@pytest.mark.parametrize("argv,throughout", [
+    pytest.param(["--workers", "8", "--group-size", "4", "--intra-alpha", "1e-6",
+                  "--intra-bandwidth", "1e10"], True, id="hierarchical-throughout"),
+    pytest.param(["--workers", "64", "--group-size", "8", "--alpha", "1e-3",
+                  "--min-bytes", "4", "--max-bytes", "40000000", "--points", "12"],
+                 False, id="crossover"),
+])
+def test_sweep_threshold_picks_the_faster_algorithm_at_every_size(capsys, argv,
+                                                                   throughout):
+    rc, out, _ = run_cli(capsys, ["sweep", *argv])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["hierarchical_throughout"] is throughout
+    assert (doc["crossover_bytes"] is None) is throughout
+    if throughout:
+        assert all(row["faster"] == "hierarchical" for row in doc["rows"])
+        assert doc["suggested_hybrid_eta"] == doc["rows"][-1]["bytes"] + 1
+    for row in doc["rows"]:
+        assert choose_algorithm(row["bytes"], doc["suggested_hybrid_eta"]) == row["faster"]
 
 
 @pytest.mark.parametrize("flag", [

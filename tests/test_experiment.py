@@ -381,6 +381,34 @@ def test_integer_fields_take_numpy_integers():
                      hidden=(np.int64(8),)).validate()
 
 
+@pytest.mark.parametrize("transport,plain_hash", [("sim", "a9e8349c"), ("tcp", "cdcfd54f")])
+def test_numpy_integer_configs_run_and_write_plain_ints(tmp_path, transport, plain_hash):
+    # the same run as the plain-int config, whose hash and config.json
+    # bytes stay as they were; every int field is written as a plain int
+    plain = preset_config("smoke", [f"transport={transport}"])
+    numpy_ints = dataclasses.replace(
+        plain, workers=np.int64(plain.workers), steps=np.int32(plain.steps),
+        fusion_threshold=np.uint32(plain.fusion_threshold),
+        hidden=tuple(np.int64(h) for h in plain.hidden))
+    assert plain.config_hash() == numpy_ints.config_hash() == plain_hash
+    written = {}
+    for name, cfg in (("plain", plain), ("numpy", numpy_ints)):
+        run_dir = Path(run_experiment(cfg, out_root=tmp_path / name)["run_dir"])
+        written[name] = {f: (run_dir / f).read_bytes()
+                         for f in ("config.json", "report.json", "metrics.csv")}
+    assert written["numpy"]["config.json"] == written["plain"]["config.json"]
+    assert written["numpy"]["metrics.csv"] == written["plain"]["metrics.csv"]
+    for f in ("config.json", "report.json"):
+        config = json.loads(written["numpy"][f])["config"]
+        for field, kind in experiment._FIELD_TYPES.items():
+            assert kind != "int" or type(config[field]) is int, (f, field)
+        assert all(type(h) is int for h in config["hidden"])
+    report = json.loads(written["numpy"]["report.json"])
+    assert type(report["steps_run"]) is int
+    assert report == {**json.loads(written["plain"]["report.json"]),
+                      "run_dir": report["run_dir"]}
+
+
 def test_dynamic_scale_backs_off_then_recovers(tmp_path):
     # 2**24 puts scaled gradients just over the half-precision ceiling, so
     # the first steps skip while the scale halves its way back under it

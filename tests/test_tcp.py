@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing as mp
 import re
 import socket
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradsync import tcp
+from gradsync import experiment, tcp
 from gradsync.collectives import (
     Topology,
     hierarchical_allreduce,
@@ -21,6 +22,7 @@ from gradsync.collectives import (
     ring_allreduce,
     ring_schedule,
 )
+from gradsync.experiment import ExperimentConfig, run_experiment
 from gradsync.tcp import CollectiveAbort, TcpCluster
 
 
@@ -153,6 +155,14 @@ def send_records(sock, records):
             tcp.send_frame(sock, tcp.TAG_JSON, json.dumps(record).encode())
 
 
+def recv_any(sock):
+    """One frame, as ``recv_frame`` decodes a control record, or a float32
+    frame of any length as its array."""
+    length, tag = tcp._HEAD.unpack(tcp.recv_exact(sock, tcp._HEAD.size))
+    payload = tcp.recv_exact(sock, length - 1)
+    return np.frombuffer(payload, "<f4") if tag == tcp.TAG_F32 else json.loads(payload)
+
+
 def worker_exit_code(rank, go, *records, peer_hello=None, peer_records=(),
                      replies=None):
     """Exit code of one worker thread run against a fake coordinator.
@@ -162,9 +172,10 @@ def worker_exit_code(rank, go, *records, peer_hello=None, peer_records=(),
     ``send_records``.  The fake peer only listens, unless there are
     ``peer_records``: then it accepts the worker's dial and sends those.
     With ``peer_hello``, a fake higher-rank peer dials the worker and
-    sends it instead.  A ``replies`` list gets every control record that
-    the worker sends the coordinator after its hello.  Returns None if
-    the worker raised instead of returning.
+    sends it instead.  A ``replies`` list gets every frame that the
+    worker sends the coordinator after its hello: a control record
+    decoded, a float32 frame as its array.  Returns None if the worker
+    raised instead of returning.
     """
     with socket.create_server((tcp.HOST, 0)) as server, \
             socket.create_server((tcp.HOST, 0)) as peer:
@@ -195,7 +206,7 @@ def worker_exit_code(rank, go, *records, peer_hello=None, peer_records=(),
             if replies is not None:
                 with pytest.raises(ConnectionError):  # the worker hung up
                     while True:
-                        replies.append(tcp.recv_frame(coord))
+                        replies.append(recv_any(coord))
     assert not worker.is_alive()
     return codes[0] if codes else None
 
@@ -308,6 +319,48 @@ def test_worker_aborts_on_a_control_frame_where_data_is_due():
                             peer_records=[b"\x00" * 4, {"done": 0}], replies=replies)
     assert code == 3
     assert replies == [{"abort": 1, "rank": 1}]
+
+
+def f32(*values):
+    return np.array(values, dtype="<f4").tobytes()
+
+
+# rank 0's two ring frames to rank 1 under plan_of(): its raw value of the
+# chunk that rank 1 folds, then its own folded chunk
+RING_OF_2 = [f32(5), f32(6)]
+
+
+@pytest.mark.parametrize("records,peer_records,replied", [
+    pytest.param([f32(0, 0)], [], [], id="input-before-any-plan"),
+    pytest.param([plan_of(), f32(0, 0), f32(0, 0, 0)], RING_OF_2, [{"done": 1}],
+                 id="input-of-another-size-after-a-plan"),
+    pytest.param([plan_of(), f32(0, 0), plan_of(k=3), f32(0, 0)], RING_OF_2,
+                 [{"done": 1}], id="second-plan-malformed"),
+])
+def test_worker_exits_3_on_a_frame_its_plan_does_not_allow(records, peer_records,
+                                                            replied):
+    # once a worker holds a plan, the next frame is its input, a plan or bye
+    replies = []
+    code = worker_exit_code(1, mesh_of_2, *records, peer_records=peer_records,
+                            replies=replies)
+    assert code == 3
+    assert replies == replied
+
+
+def test_worker_runs_a_second_plan_and_its_input():
+    # the second plan holds four elements in one ring bucket, and every
+    # rank's result comes back: rank 0 sends its raw 10 and 20 of the
+    # chunk that rank 1 folds with its 3 and 4, then its folded 11 and 22
+    replies = []
+    second = plan_of(buckets=[[4, "ring"]])
+    second["plan"]["result"] = None
+    code = worker_exit_code(1, mesh_of_2, plan_of(), f32(0, 0), second,
+                            f32(1, 2, 3, 4), {"bye": True},
+                            peer_records=[*RING_OF_2, f32(10, 20), f32(11, 22)],
+                            replies=replies)
+    assert code == 0
+    assert replies[0] == {"done": 1} and len(replies) == 2
+    assert replies[1].tolist() == [11, 22, 13, 24]
 
 
 def test_worker_exits_3_on_a_plan_for_one_worker():
@@ -704,6 +757,39 @@ def test_one_name_is_the_one_bucket_case():
                 assert np.array_equal(got, ref) and np.array_equal(also, ref)
 
 
+def test_plan_record_is_sent_only_when_the_plan_changes(monkeypatch):
+    # three plans that differ in their buckets, k and result rank, then the
+    # first again; a repeated call sends the inputs alone
+    p = 4
+    first = (58, [(37, "ring"), (21, "hierarchical")], 2, None)
+    calls = [first, first,
+             (15, [(10, "hierarchical"), (5, "ring")], 2, 0),
+             (58, [(37, "ring"), (21, "hierarchical")], 4, 3),
+             first, first]
+    sent = []
+    send_frame = tcp.send_frame
+
+    def counted(sock, tag, payload):  # the coordinator's frames only
+        sent.append(tag)
+        return send_frame(sock, tag, payload)
+
+    with TcpCluster(p, timeout=20) as cluster:
+        monkeypatch.setattr(tcp, "send_frame", counted)
+        for i, (n, buckets, k, rank) in enumerate(calls):
+            sent.clear()
+            bufs = rand_buffers(p, n, seed=i)
+            wire, _ = cluster.allreduce(bufs, algorithm=buckets, k=k, op="mean",
+                                        result_rank=rank)
+            mem, _ = bucket_reference(bufs, buckets, k, "mean")
+            want = mem if rank is None else [mem[rank]]
+            assert len(wire) == len(want)
+            for got, ref in zip(wire, want):
+                assert got.view(np.uint32).tolist() == ref.view(np.uint32).tolist()
+            changed = i == 0 or calls[i] != calls[i - 1]
+            assert sent.count(tcp.TAG_JSON) == (p if changed else 0), i
+            assert sent.count(tcp.TAG_F32) == p
+
+
 # calls on four 12-element buffers with k = 2 that the plan rule rejects,
 # and what its reason says
 BAD_CALLS = [
@@ -832,6 +918,35 @@ def test_aborted_cluster_stays_dead(monkeypatch):
     assert len(procs) == 3 and not any(proc.is_alive() for proc in procs)
 
 
+@pytest.mark.parametrize("fail_at", [1, 2, 5, 8])
+def test_a_failed_send_kills_the_cluster(monkeypatch, fail_at):
+    # the coordinator's fail_at-th frame of a call that sends a new plan
+    # (plan, input, plan, input, ... in rank order) fails to send
+    bufs = rand_buffers(4, 40, seed=5)
+    cluster = TcpCluster(4, timeout=10)
+    procs = list(cluster._procs)
+    try:
+        cluster.allreduce(bufs)  # every worker now holds the ring plan
+        sent, send_frame = [], tcp.send_frame
+
+        def failing(sock, tag, payload):
+            sent.append(tag)
+            if len(sent) == fail_at:
+                raise OSError("injected send failure")
+            return send_frame(sock, tag, payload)
+
+        with monkeypatch.context() as m:
+            m.setattr(tcp, "send_frame", failing)
+            with pytest.raises(CollectiveAbort, match="injected"):
+                cluster.allreduce(bufs, algorithm="hierarchical", k=2)
+            with pytest.raises(CollectiveAbort, match="dead"):
+                cluster.allreduce(bufs)
+        assert len(sent) == fail_at  # the dead cluster sent nothing more
+    finally:
+        cluster.close()
+    assert len(procs) == 4 and not any(proc.is_alive() for proc in procs)
+
+
 def test_one_rank_result_comes_back_alone(monkeypatch):
     # the coordinator reads one result frame per collective, not p, and
     # it is the asked rank's result, bitwise the in-memory one; every
@@ -894,6 +1009,25 @@ def test_buffer_validation():
         wire, _ = cluster.allreduce(good)
         mem, _ = ring_allreduce(good)
         assert np.array_equal(wire[0], mem[0])
+
+
+def test_a_run_builds_each_worker_plan_once(tmp_path, monkeypatch, bench_workloads):
+    # counted in the forked workers through shared memory: over a run of
+    # train-tcp, each worker builds its ring and its hierarchical table
+    # once, not once per step
+    counts = mp.get_context("fork").Array("i", 2)
+    for slot, name in enumerate(("_ring_plan", "_hier_plan")):
+        def counted(*args, build=getattr(tcp, name), slot=slot):
+            with counts.get_lock():
+                counts[slot] += 1
+            return build(*args)
+
+        monkeypatch.setattr(tcp, name, counted)
+    cfg = ExperimentConfig(seed=1, **bench_workloads["train-tcp"]["config"])
+    assert [a for *_, a in experiment._Run(cfg).buckets] == ["ring", "hierarchical"]
+    assert cfg.steps == 6 and cfg.transport == "tcp"
+    run_experiment(cfg, out_root=tmp_path)
+    assert list(counts) == [cfg.workers, cfg.workers]
 
 
 def _claim(port, rank):
@@ -1008,9 +1142,9 @@ def test_every_socket_sets_nodelay(monkeypatch):
     mesh = {}
     collective = tcp._worker_collective
 
-    def spy(rank, plan_cfg, inp, peers, *args):
+    def spy(rank, standing, op, peers, *args):
         mesh[rank] = {peer: _nodelay_on(s) for peer, s in peers.items()}
-        return collective(rank, plan_cfg, inp, peers, *args)
+        return collective(rank, standing, op, peers, *args)
 
     monkeypatch.setattr(tcp, "_worker_collective", spy)
     port = _free_port()

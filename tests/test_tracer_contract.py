@@ -45,7 +45,8 @@ def test_layer_tracer_wraps_and_restores_gradsync(tmp_path, monkeypatch):
 def test_layer_tracer_wraps_the_tcp_path(tmp_path, monkeypatch, count_calls):
     # the runner reaches TcpCluster.allreduce once per step with whole
     # rows, so the tracer's span and bucket-mean sample see every step,
-    # and the coordinator sends each worker one plan and one input frame
+    # and the coordinator sends each worker one plan for the run and one
+    # input frame per step
     monkeypatch.syspath_prepend(str(BENCH))
     from layertrace import Tracer
 
@@ -69,8 +70,8 @@ def test_layer_tracer_wraps_the_tcp_path(tmp_path, monkeypatch, count_calls):
     elems = experiment._Run(cfg).net.grad.size
     assert all(detail == f"{elems} elements over {cfg.workers} ranks"
                for _, _, detail in tracer.sample_checks)
-    # one peer table at the rendezvous and one bye at close per worker
-    assert len(frames) == 2 * cfg.workers * cfg.steps + 2 * cfg.workers
+    # per worker, a peer table at the rendezvous, the plan, and a bye at close
+    assert len(frames) == cfg.workers * cfg.steps + 3 * cfg.workers
 
 
 def test_every_step_is_workers_forward_backward_calls(tmp_path, monkeypatch):
