@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p = sub.add_parser("worker", help="join a hosted collective")
     worker_p.add_argument("--port", type=int, required=True)
     worker_p.add_argument("--rank", type=int, required=True)
-    worker_p.add_argument("--host", default="127.0.0.1")
+    worker_p.add_argument("--host", default="127.0.0.1",
+                          help="the coordinator's IPv4 address or host name")
     worker_p.add_argument("--timeout", type=float, default=30.0)
     worker_p.add_argument("--die-at-step", type=int, default=None,
                           help="crash before this plan step (fault testing)")

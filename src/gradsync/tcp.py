@@ -39,6 +39,13 @@ could stall only if all its ranks sent first or all received first,
 but its lowest rank sends first and its highest receives first.  So no
 round deadlocks, however far a frame outgrows the socket buffers.
 
+Workers dial by address, never through the resolver.  Both listeners
+bind IPv4 127.0.0.1, and ``_dial`` connects an IPv4 socket directly:
+``socket.create_connection`` would call ``getaddrinfo``, whose IDNA
+encoding of the host imports a codec, ``stringprep`` and ``unicodedata``
+that the coordinator never loads, in every worker after fork.  A forked
+worker imports nothing.
+
 Wire format, all frames: u32 little-endian length, one dtype tag byte,
 payload.  The length counts the tag byte plus the payload.  Tags:
 0 = float32 array, 2 = UTF-8 JSON control record.  Tag 1 is reserved
@@ -52,6 +59,7 @@ Both sides also check a plan record with one rule, ``_plan_error``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import struct
@@ -64,6 +72,7 @@ import numpy as np
 
 from .collectives import (
     ReduceSchedule,
+    _is_whole,
     _schedule,
     chunk_sizes,
     fold_ascending,
@@ -98,6 +107,20 @@ def _nodelay(sock: socket.socket) -> socket.socket:
     """Send each frame at once instead of waiting on Nagle's algorithm."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+def _dial(host: str, port: int, timeout: float) -> socket.socket:
+    """A connected IPv4 stream socket with ``timeout`` and ``TCP_NODELAY``,
+    dialled without ``socket.getaddrinfo``: ``connect`` parses a numeric
+    address itself and resolves an ASCII host name without the IDNA codec."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+        return _nodelay(sock)
+    except BaseException:
+        sock.close()
+        raise
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -338,9 +361,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
     listener = socket.create_server((HOST, 0), backlog=64)
     listener.settimeout(timeout)
 
-    coord = _nodelay(socket.create_connection((coord_host, coord_port),
-                                              timeout=timeout))
-    coord.settimeout(timeout)
+    coord = _dial(coord_host, coord_port, timeout)
     peers: dict[int, socket.socket] = {}
     try:
         send_json(coord, {"hello": rank, "listen_port": listener.getsockname()[1]})
@@ -351,9 +372,7 @@ def run_worker(coord_host: str, coord_port: int, rank: int,
 
         # higher ranks dial, lower ranks accept: one socket per pair
         for other in range(rank):
-            s = _nodelay(socket.create_connection((HOST, peer_ports[other]),
-                                                  timeout=timeout))
-            s.settimeout(timeout)
+            s = _dial(HOST, peer_ports[other], timeout)
             send_json(s, {"rank": rank})
             peers[other] = s
         for _ in range(p - 1 - rank):
@@ -416,9 +435,13 @@ class TcpCluster:
 
     def __init__(self, p: int, *, spawn: bool = True, port: int = 0,
                  timeout: float = 30.0, die_at_step: dict[int, int] | None = None):
+        if not _is_whole(p):
+            raise ValueError(f"worker count must be an integer, got {p!r}")
         if p < 1:
             raise ValueError(f"need at least one worker, got {p}")
-        self.p = p
+        if not 0 < timeout < math.inf:  # NaN fails too; 0 would make accept non-blocking
+            raise ValueError(f"timeout must be finite seconds > 0, got {timeout!r}")
+        self.p = p = int(p)  # a plain int, which the JSON records can carry
         self.timeout = timeout
         self._socks: list[socket.socket] = []  # one per rank, in rank order
         self._procs: list[mp.Process] = []

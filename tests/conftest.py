@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import multiprocessing as mp
 import sys
 from pathlib import Path
 
@@ -9,6 +10,16 @@ import pytest
 from gradsync.lars import ParamGroup
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_its_test():
+    """Fail any test that leaves a child process alive, such as a worker
+    of a ``TcpCluster`` that was never closed."""
+    before = set(mp.active_children())
+    yield
+    left = [proc for proc in mp.active_children() if proc not in before]
+    assert not left, f"child processes outlived the test: {left}"
 
 
 @pytest.fixture

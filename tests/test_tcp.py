@@ -5,6 +5,7 @@ import json
 import multiprocessing as mp
 import re
 import socket
+import subprocess
 import sys
 import threading
 from contextlib import ExitStack
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from gradsync import experiment, tcp
 from gradsync.collectives import (
     Topology,
+    fold_ascending,
     hierarchical_allreduce,
     hierarchical_schedule,
     ring_allreduce,
@@ -742,6 +744,57 @@ def test_bucket_list_matches_each_bucket_in_memory(p, k, buckets):
                 assert all(a is b for a, b in zip(scheds, mem_scheds))
 
 
+def test_loopback_dials_never_call_the_resolver(monkeypatch):
+    # the forked workers inherit the patch, so a worker that dialled the
+    # coordinator or a peer through getaddrinfo would exit before its hello
+    def resolver(*args, **kwargs):
+        raise socket.gaierror(f"getaddrinfo{args} called")
+
+    monkeypatch.setattr(socket, "getaddrinfo", resolver)
+    buckets = [(30, "ring"), (10, "hierarchical")]
+    bufs = rand_buffers(4, 40, seed=27)
+    with TcpCluster(4, timeout=5) as cluster:
+        wire, _ = cluster.allreduce(bufs, algorithm=buckets, k=2)
+    mem, _ = bucket_reference(bufs, buckets, 2, "sum")
+    for got, ref in zip(wire, mem):
+        assert got.view(np.uint32).tolist() == ref.view(np.uint32).tolist()
+
+
+# Run in a fresh interpreter: a module that this one has imported already
+# would go unseen.  The fork target looks run_worker up at call time, so
+# each rank lists what it imported while it ran.
+_LIST_WORKER_IMPORTS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from gradsync import tcp
+
+out, run_worker = Path(sys.argv[1]), tcp.run_worker
+
+def listing(coord_host, coord_port, rank, *args):
+    at_entry = set(sys.modules)
+    code = run_worker(coord_host, coord_port, rank, *args)
+    imported = sorted(set(sys.modules) - at_entry)
+    (out / f"rank{rank}.json").write_text(json.dumps(imported))
+    return code
+
+tcp.run_worker = listing
+bufs = [np.arange(24, dtype=np.float32) * rank for rank in range(4)]
+with tcp.TcpCluster(4, timeout=20) as cluster:
+    for algorithm in ("ring", "hierarchical"):
+        cluster.allreduce(bufs, algorithm=algorithm, k=2)
+"""
+
+
+def test_a_forked_worker_imports_nothing(tmp_path):
+    # a module imported after fork costs every worker of every cluster its
+    # CPU time and copy-on-write faults at each start-up
+    subprocess.run([sys.executable, "-c", _LIST_WORKER_IMPORTS, str(tmp_path)],
+                   check=True, timeout=60)
+    listed = {path.name: json.loads(path.read_text()) for path in tmp_path.iterdir()}
+    assert listed == {f"rank{rank}.json": [] for rank in range(4)}
+
+
 def test_one_name_is_the_one_bucket_case():
     # a single algorithm name runs the whole vector as one bucket, and
     # returns the shared schedule itself rather than a list of one
@@ -1009,6 +1062,31 @@ def test_buffer_validation():
         wire, _ = cluster.allreduce(good)
         mem, _ = ring_allreduce(good)
         assert np.array_equal(wire[0], mem[0])
+
+
+def test_a_numpy_worker_count_runs():
+    bufs = rand_buffers(2, 12, seed=29)
+    with TcpCluster(np.int64(2), timeout=20) as cluster:
+        assert type(cluster.p) is int
+        wire, _ = cluster.allreduce(bufs)
+    want = fold_ascending(bufs, "sum").view(np.uint32).tolist()
+    assert [got.view(np.uint32).tolist() for got in wire] == [want, want]
+
+
+@pytest.mark.parametrize("p,timeout,match", [
+    (True, 20, "integer"),
+    (2.0, 20, "integer"),
+    (0, 20, "at least one"),
+    (2, 0, "timeout"),
+    (2, -1.0, "timeout"),
+    (2, float("nan"), "timeout"),
+    (2, float("inf"), "timeout"),
+])
+def test_a_bad_worker_count_or_timeout_is_rejected_before_any_fork(p, timeout, match):
+    before = mp.active_children()
+    with pytest.raises(ValueError, match=match):
+        TcpCluster(p, timeout=timeout)
+    assert mp.active_children() == before
 
 
 def test_a_run_builds_each_worker_plan_once(tmp_path, monkeypatch, bench_workloads):
